@@ -136,26 +136,27 @@ def _measure_pool_scaling() -> dict:
     companion to the simulated PRAM table above.  The ≥2× target at 4
     workers only means something on a machine that *has* 4 cores, so the
     assertion is gated on the host, never the recording."""
-    from repro.core.mpengine import ParallelMPEngine
-    from repro.core.pool import get_pool, shutdown_pool
+    from repro.core.pool import PoolExecutor, get_pool, shutdown_pool
+
+    def executor(jobs):
+        # 1 worker is the inline executor: no pool at all
+        return PoolExecutor(get_pool(jobs), jobs) if jobs > 1 else None
 
     rects = random_disjoint_rects(POOL_N, seed=1)
     walls, rows = {}, []
     baseline_bytes = None
     for jobs in POOL_WORKERS:
-        pool = None
         if jobs > 1:
-            pool = get_pool(jobs)
             # absorb fork/compile cost before timing: one throwaway build
-            ParallelMPEngine(
+            ParallelEngine(
                 random_disjoint_rects(12, seed=2), [], PRAM(),
-                leaf_size=6, pool=pool, jobs=jobs,
+                leaf_size=6, executor=executor(jobs),
             ).build()
+        ex = executor(jobs)
         t0 = time.perf_counter()
-        engine = ParallelMPEngine(
-            rects, [], PRAM(), leaf_size=6, pool=pool, jobs=jobs
-        )
-        index = engine.build()
+        index = ParallelEngine(
+            rects, [], PRAM(), leaf_size=6, executor=ex
+        ).build()
         wall = time.perf_counter() - t0
         walls[jobs] = wall
         if baseline_bytes is None:
@@ -169,7 +170,7 @@ def _measure_pool_scaling() -> dict:
                 "workers": jobs,
                 "wall_s": round(wall, 4),
                 "speedup_vs_1w": round(walls[POOL_WORKERS[0]] / wall, 2),
-                "pool_tasks": engine.pool_stats["tasks"],
+                "pool_tasks": ex.stats["tasks"] if ex is not None else 0,
             }
         )
     shutdown_pool()

@@ -29,7 +29,7 @@ Commands
                                 snapshot (``--require-provenance`` exits
                                 nonzero when a snapshot predates it)
 
-Scene files are JSON (schema v2, see :mod:`repro.workloads.scenefile`)::
+Scene files are JSON (schema v2, see :class:`repro.scene.Scene`)::
 
     {"version": 2, "rects": [[xlo, ylo, xhi, yhi], ...],
      "polygons": [[[x, y], ...], ...], "container": [[x, y], ...]}
@@ -82,7 +82,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     else:
         obstacles = random_disjoint_rects(args.n, seed=args.seed)
     idx = ShortestPathIndex.build(
-        obstacles, engine=args.engine, jobs=args.jobs, jit=args.jit
+        obstacles, engine=args.engine, jobs=args.jobs
     )
     t, w = idx.build_stats()
     vs = idx.vertices()
@@ -124,7 +124,6 @@ def cmd_query(args: argparse.Namespace) -> int:
                 engine=args.engine,
                 container=scene.container,
                 jobs=args.jobs,
-                jit=args.jit,
             )
         except ReproError as exc:
             raise SystemExit(str(exc))
@@ -168,7 +167,6 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
             engine=args.engine,
             container=scene.container,
             jobs=args.jobs,
-            jit=args.jit,
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
@@ -601,9 +599,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         random_disjoint_rects,
         random_polygon_scene,
     )
-    from repro.workloads.scenefile import save_scene
-
     from repro.core.crosscheck import DEFAULT_ENGINES
+    from repro.scene import Scene
 
     engines = list(DEFAULT_ENGINES)
     if getattr(args, "engine", None) and args.engine not in engines:
@@ -633,7 +630,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"scene {i:3d} [{label:9s}] FAILED: {problems[0]}")
             out = pathlib.Path(args.out_dir) / f"updatefuzz_fail_{seed}.json"
             out.parent.mkdir(parents=True, exist_ok=True)
-            save_scene(out, obstacles, None)
+            Scene.from_obstacles(obstacles).save(out)
             print(f"  replay scene (seed {seed}): {out}")
         print(f"{args.scenes} scenes update-fuzzed, {failures} failure(s)")
         return 1 if failures else 0
@@ -674,7 +671,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             )
             out = pathlib.Path(args.out_dir) / f"linkfuzz_fail_{seed}.json"
             out.parent.mkdir(parents=True, exist_ok=True)
-            save_scene(out, small, small_container)
+            Scene.from_obstacles(small, small_container).save(out)
             print(f"  shrunk to {len(small)} obstacles, replay scene: {out}")
         print(f"{args.scenes} scenes link-fuzzed, {failures} failure(s)")
         return 1 if failures else 0
@@ -710,7 +707,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         )
         out = pathlib.Path(args.out_dir) / f"fuzz_fail_{seed}.json"
         out.parent.mkdir(parents=True, exist_ok=True)
-        save_scene(out, small, small_container)
+        Scene.from_obstacles(small, small_container).save(out)
         print(f"  shrunk to {len(small)} obstacles, replay scene: {out}")
     print(f"{args.scenes} scenes checked, {failures} failure(s)")
     return 1 if failures else 0
@@ -727,7 +724,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     try:
         idx = build_index(
             scene, engine=args.engine, cache=StageCache(),
-            jobs=args.jobs, jit=args.jit,
+            jobs=args.jobs,
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
@@ -765,7 +762,7 @@ def _build_profile_rows() -> list:
     smoke test that build profiling actually flows through ``repro.obs``.
 
     A ``parallel-mp`` build also leaves one ``build.solve.subtree`` span
-    per pool-dispatched subtree/conquer task on the same trace; those are
+    per pool-dispatched leaf/subtree task on the same trace; those are
     folded in as indented sub-rows of the solve stage."""
     from repro.pipeline import BUILD_SPANS, STAGES
 
@@ -880,10 +877,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sp.add_argument("--jobs", type=int, default=None,
                         help="worker processes for --engine parallel-mp "
                         "(default: visible cores, capped at 8; 1 = inline)")
-        sp.add_argument("--jit", action="store_true",
-                        help="use the compiled (min,+)/leaf kernels when "
-                        "numba is importable (results are byte-identical; "
-                        "silently falls back to numpy otherwise)")
 
     d = sub.add_parser("demo", help="random scene demo")
     d.add_argument("-n", type=int, default=12)

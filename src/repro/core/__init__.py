@@ -4,7 +4,8 @@ Module map (paper section → module):
 
 * §3 Theorem 2 → :mod:`repro.core.separator`
 * §3 Lemma 6 → :mod:`repro.core.tracing`
-* §5/§6.3 → :mod:`repro.core.allpairs` (parallel engine)
+* §5/§6.3 → :mod:`repro.core.allpairs` (parallel engine), run on worker
+  processes by :mod:`repro.core.pool`
 * §6.4 → :mod:`repro.core.query`
 * §7 → :mod:`repro.core.implicit`
 * §8 → :mod:`repro.core.pathreport`

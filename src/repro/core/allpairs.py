@@ -28,13 +28,27 @@ Correctness skeleton (mirrors §4's lemma toolkit):
 The per-node core candidate set is ``O(n_v)``, so interfaces grow only
 additively along a root-leaf path; measured totals are reported in
 EXPERIMENTS.md E3.
+
+Executors
+---------
+The recursion is written once, as generators that ``yield`` a
+:class:`Fork` wherever the paper runs independent work side by side: the
+two child solves of a node and the chain-grouped column blocks of a
+conquer product.  An *executor* drives the generators.
+:class:`InlineExecutor` (the ``parallel`` engine) turns every Fork into
+one :meth:`PRAM.parallel` call, depth first.
+:class:`repro.core.pool.PoolExecutor` (``parallel-mp``) runs the same
+Forks on worker processes.  Through two hooks it ships node bodies and
+big (min,+) blocks to the workers, then folds their PRAM charges, stats
+and chain tags back.  Both give byte-identical matrices.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import GeneratorType
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -89,6 +103,19 @@ class BuildStats:
     subtree_misses: int = 0
     delta_conquers: int = 0
     patched_points: int = 0
+
+    def merge(self, other: dict) -> None:
+        """Fold in the stats of a subtree solved elsewhere (``vars()`` of
+        another engine's BuildStats): counts add, extremes take the max."""
+        for name, theirs in other.items():
+            if name == "per_level_points":
+                lvl = self.per_level_points
+                for depth, n in theirs.items():
+                    lvl[depth] = lvl.get(depth, 0) + n
+            elif name in ("max_interface", "max_tracked"):
+                setattr(self, name, max(getattr(self, name), theirs))
+            else:
+                setattr(self, name, getattr(self, name) + theirs)
 
 
 @dataclass
@@ -226,9 +253,69 @@ def _arc_pos(p: Point, increasing: bool) -> int:
     return p[0] + p[1] if increasing else p[0] - p[1]
 
 
+class Fork:
+    """Yielded by the recursion: run ``branches`` side by side on child
+    machines of ``pram`` (:meth:`PRAM.parallel` semantics); the executor
+    sends back the list of branch results.  A branch maps its machine to
+    a value or to a recursion generator, which is driven in turn."""
+
+    __slots__ = ("pram", "branches")
+
+    def __init__(self, pram: PRAM, branches: list[Callable[[PRAM], object]]) -> None:
+        self.pram = pram
+        self.branches = branches
+
+
+class InlineExecutor:
+    """Drives the recursion in this process, depth first: each
+    :class:`Fork` is one :meth:`PRAM.parallel` call, branches in order.
+    The two hooks are where an executor may move work elsewhere; here
+    they keep everything local."""
+
+    def node_task(self, engine, rect_idx, pts, pram, depth):
+        """A remote task solving this node's body, or ``None`` to solve
+        it here."""
+        return None
+
+    def block_job(self, engine: "ParallelEngine", a, b, certify: bool):
+        """The Fork branch for one conquer column block ``a ⊗ b``."""
+        return lambda m: engine._minplus_block(a, b, certify, m)
+
+    def run(self, gen):
+        value = None
+        while True:
+            try:
+                fork = gen.send(value)
+            except StopIteration as stop:
+                return stop.value
+            value = fork.pram.parallel(
+                [lambda m, b=b: self._settle(b(m)) for b in fork.branches]
+            )
+
+    def _settle(self, result):
+        return self.run(result) if isinstance(result, GeneratorType) else result
+
+
+def minplus_block(a: np.ndarray, b: np.ndarray, certify: bool, pram: PRAM):
+    """One conquer column block: ``(a ⊗ b, 1 if it took the Monge path)``.
+
+    A chain-ordered block (``certify``) is certified once through the
+    flag — :func:`minplus_monge`'s own check then reads the memoised
+    verdict instead of re-paying the O(|Z|·|g|) certification — and takes
+    SMAWK when Monge; anything else takes the vectorised naive product."""
+    if certify:
+        flag = MongeFlag(b)
+        pram.charge(time=1, work=flag.array.size, width=flag.array.size)
+        if flag.monge():
+            return minplus_monge(a, flag, pram), 1
+        return minplus_naive(a, flag.array, pram), 0
+    return minplus_naive(a, b, pram), 0
+
+
 class ParallelEngine:
     """Builds the all-pairs structure among obstacle vertices (plus any
-    extra points) on the simulated CREW-PRAM."""
+    extra points) on the simulated CREW-PRAM.  ``executor`` decides where
+    the independent pieces of the recursion run (default: inline)."""
 
     def __init__(
         self,
@@ -244,8 +331,10 @@ class ParallelEngine:
         subtree_cache=None,
         subtree_salt: tuple = (),
         delta_hint: Optional[tuple] = None,
+        executor: Optional[InlineExecutor] = None,
     ) -> None:
         self.rects = list(rects)
+        self._executor = executor or InlineExecutor()
         if validate:
             validate_disjoint(self.rects)
         # interior seams of polygon-obstacle decompositions: global blockers
@@ -304,7 +393,9 @@ class ParallelEngine:
                     m[i, j] = dist(p, q)
             return DistanceIndex(pts, m)
         idx = list(range(len(self.rects)))
-        pts, mat = self._solve(idx, self.extra_points, self.pram, depth=0)
+        pts, mat = self._executor.run(
+            self._solve(idx, self.extra_points, self.pram, depth=0)
+        )
         return DistanceIndex(pts, mat)
 
     # ------------------------------------------------------------------
@@ -323,7 +414,9 @@ class ParallelEngine:
         interface: Sequence[Point],
         pram: PRAM,
         depth: int,
-    ) -> tuple[list[Point], np.ndarray]:
+    ):
+        """One recursion node with its bookkeeping and subtree-cache
+        probe; a generator returning ``(pts, matrix)``."""
         self.stats.nodes += 1
         self.stats.max_interface = max(self.stats.max_interface, len(interface))
         pts = self._tracked_points(rect_idx, interface)
@@ -331,7 +424,7 @@ class ParallelEngine:
         lvl = self.stats.per_level_points
         lvl[depth] = lvl.get(depth, 0) + len(pts)
         if self._sub_cache is None:
-            out, _ = self._solve_node(rect_idx, pts, pram, depth)
+            out, _ = yield from self._solve_node(rect_idx, pts, pram, depth)
             return out
         key = self._subtree_key(rect_idx)
         entry = self._sub_cache.get(key)
@@ -341,7 +434,7 @@ class ParallelEngine:
                 return reused
         self.stats.subtree_misses += 1
         snap = pram.snapshot()
-        out, aux = self._solve_node(rect_idx, pts, pram, depth)
+        out, aux = yield from self._solve_node(rect_idx, pts, pram, depth)
         dt, dw = pram.since(snap)
         self._store_entry(key, out, aux, (dt, dw, pram.max_ops))
         return out
@@ -352,12 +445,15 @@ class ParallelEngine:
         pts: list[Point],
         pram: PRAM,
         depth: int,
-    ) -> tuple[tuple[list[Point], np.ndarray], Optional[tuple]]:
+    ):
         """One recursion node (leaf or divide+conquer), cache-oblivious.
 
-        Returns ``((pts, matrix), aux)`` with ``aux`` the separator
+        A generator returning ``((pts, matrix), aux)`` with ``aux`` the separator
         signature ``(chain_sig, zs)`` for internal nodes (``None`` when the
         node was brute-forced as a leaf)."""
+        task = self._executor.node_task(self, rect_idx, pts, pram, depth)
+        if task is not None:
+            return (yield task)
         if len(rect_idx) <= self.leaf_size:
             return self._leaf(rect_idx, pts, pram), None
         sub_rects = [self.rects[i] for i in rect_idx]
@@ -384,11 +480,12 @@ class ParallelEngine:
             [p for p in pts if side_of[p] >= 0] + zs))
         lo_iface = list(dict.fromkeys(
             [p for p in pts if side_of[p] <= 0] + zs))
-        (ptsU, matU), (ptsL, matL) = pram.parallel(
+        (ptsU, matU), (ptsL, matL) = yield Fork(
+            pram,
             [
                 lambda m, ui=upper_idx, si=up_iface: self._solve(ui, si, m, depth + 1),
                 lambda m, li=lower_idx, si=lo_iface: self._solve(li, si, m, depth + 1),
-            ]
+            ],
         )
         chain_sig = (chain.pts, chain.increasing, chain.left_dir, chain.right_dir)
         delta = self._try_delta_conquer(
@@ -397,7 +494,7 @@ class ParallelEngine:
         )
         if delta is not None:
             return delta, (chain_sig, tuple(zs))
-        out = self._conquer(
+        out = yield from self._conquer(
             pts, side_of, chain, zs, sub_rects, (ptsU, matU), (ptsL, matL), pram
         )
         return out, (chain_sig, tuple(zs))
@@ -739,7 +836,7 @@ class ParallelEngine:
         upper: tuple[list[Point], np.ndarray],
         lower: tuple[list[Point], np.ndarray],
         pram: PRAM,
-    ) -> tuple[list[Point], np.ndarray]:
+    ):
         ptsU, matU = upper
         ptsL, matL = lower
         iu = {p: i for i, p in enumerate(ptsU)}
@@ -765,7 +862,7 @@ class ParallelEngine:
         zl = [il[z] for z in zs]
         DU = matU[np.ix_(uid, zu)]  # upper-side point -> separator
         DL = matL[np.ix_(zl, lid)]  # separator -> lower-side point
-        cross = self._cross_product(DU, DL, rows_l, pram)
+        cross = yield from self._cross_product(DU, DL, rows_l, pram)
         cross = self._apply_projection_specials(
             cross, rows_u, rows_l, chain, zs, t, DU, DL, sub_rects, pram
         )
@@ -782,8 +879,9 @@ class ParallelEngine:
         DL: np.ndarray,
         cols: list[Point],
         pram: PRAM,
-    ) -> np.ndarray:
-        """(min,+) product ``DU * DL`` with chain-grouped column dispatch.
+    ):
+        """(min,+) product ``DU * DL`` with chain-grouped column dispatch
+        (a generator: the groups are one :class:`Fork`).
 
         Columns with a common chain provenance are processed together in
         chain order: the block ``DL[Z × group]`` is then Monge whenever
@@ -802,33 +900,28 @@ class ParallelEngine:
                 scattered.append(j)
             else:
                 groups.setdefault(tag[0], []).append(j)
-        out = np.full((DU.shape[0], DL.shape[1]), INF)
-
-        def group_job(idxs: list[int]):
-            def run(m: PRAM):
-                # certify once via the flag; minplus_monge's own check
-                # then reads the memoised verdict instead of re-paying
-                # the O(|Z|·|g|) certification
-                block = MongeFlag(DL[:, idxs])
-                m.charge(time=1, work=block.array.size, width=block.array.size)
-                if block.monge():
-                    self.stats.monge_fast_blocks += 1
-                    return idxs, minplus_monge(DU, block, m)
-                return idxs, minplus_naive(DU, block.array, m)
-
-            return run
-
-        jobs = []
+        jobs: list[tuple[list[int], bool]] = []
         for cid, idxs in groups.items():
             idxs.sort(key=lambda j: self._chain_tags[cols[j]][1])
-            jobs.append(group_job(idxs))
+            jobs.append((idxs, True))
         if scattered:
-            jobs.append(
-                lambda m: (scattered, minplus_naive(DU, DL[:, scattered], m))
-            )
+            jobs.append((scattered, False))
         # independent column groups multiply side by side on the PRAM
-        for idxs, block_out in pram.parallel(jobs):
-            out[:, idxs] = block_out
+        blocks = yield Fork(
+            pram,
+            [
+                self._executor.block_job(self, DU, DL[:, idxs], certify)
+                for idxs, certify in jobs
+            ],
+        )
+        out = np.full((DU.shape[0], DL.shape[1]), INF)
+        for (idxs, _), block in zip(jobs, blocks):
+            out[:, idxs] = block
+        return out
+
+    def _minplus_block(self, a, b, certify: bool, pram: PRAM) -> np.ndarray:
+        out, fast = minplus_block(a, b, certify, pram)
+        self.stats.monge_fast_blocks += fast
         return out
 
     # ------------------------------------------------------------------

@@ -120,6 +120,11 @@ def _matrix_diff(name_a: str, ma, pts_a, name_b: str, mb, pts_b) -> list[str]:
 #: value-equality below, it is held to *byte* identity with ``parallel``
 DEFAULT_ENGINES = ("parallel", "sequential", "parallel-mp")
 
+#: pool size for every ``parallel-mp`` build here — fixed at 2, not the
+#: host's core count, so a 1-core runner still fuzzes the real pool
+#: executor instead of the inline one (ignored by the other engines)
+FUZZ_JOBS = 2
+
 
 def check_scene(
     obstacles: Sequence[Obstacle],
@@ -143,7 +148,7 @@ def check_scene(
         for name in engines:
             idxs[name] = ShortestPathIndex.build(
                 obstacles, extra_points=extra_points, engine=name,
-                container=container,
+                container=container, jobs=FUZZ_JOBS,
             )
     except ReproError as exc:
         return [f"build failed: {exc}"]
@@ -153,7 +158,7 @@ def check_scene(
     problems = []
     if "parallel" in idxs and "parallel-mp" in idxs:
         # the pool engine promises more than value equality: the same
-        # floats in the same order, bit for bit
+        # floats in the same order, bit for bit, at the same PRAM cost
         sp, mp = idxs["parallel"].index, idxs["parallel-mp"].index
         if list(sp.points) != list(mp.points):
             problems.append("parallel/parallel-mp point orders differ")
@@ -161,6 +166,8 @@ def check_scene(
             problems.append(
                 "parallel and parallel-mp matrices are not byte-identical"
             )
+        if idxs["parallel"].build_stats() != idxs["parallel-mp"].build_stats():
+            problems.append("parallel and parallel-mp simulated PRAM costs differ")
     for name in engines[1:]:
         problems += _matrix_diff(
             ref, idx_ref.index.matrix, pts,
@@ -263,7 +270,7 @@ def check_links(
         for name in engines:
             idxs[name] = ShortestPathIndex.build(
                 obstacles, extra_points=extra_points, engine=name,
-                container=container,
+                container=container, jobs=FUZZ_JOBS,
             )
     except ReproError as exc:
         return [f"build failed: {exc}"]
@@ -467,7 +474,7 @@ def check_update(
                 continue
             try:
                 other = build_index(
-                    idx.scene, engine=name,
+                    idx.scene, engine=name, jobs=FUZZ_JOBS,
                     cache=StageCache(max_entries=64, max_bytes=256 << 20),
                 )
             except ReproError as exc:

@@ -1,41 +1,37 @@
-"""A persistent multiprocessing worker pool for multicore builds.
+"""The pool executor: the one §5/§6 recursion on worker processes.
 
-The ``parallel-mp`` engine (:mod:`repro.core.mpengine`) dispatches
-independent separator subtrees and (min,+) conquer blocks to worker
-*processes* — real cores, where every other engine is one Python core.
-This module owns the process plumbing so the engine stays algorithmic:
+``parallel-mp`` is :class:`~repro.core.allpairs.ParallelEngine` driven by
+:class:`PoolExecutor` instead of the inline executor.  The recursion, its
+Forks, PRAM charges and chain-tag minting stay the engine's own; this
+module adds what real cores need:
 
-* **Persistent workers.**  Spawning a Python process costs tens of
-  milliseconds; a build issues dozens of tasks.  The module-level pool
-  (:func:`get_pool`) outlives individual builds and is reused until the
-  requested job count changes or the process exits (``atexit`` shuts it
-  down).  One build at a time drives it (:meth:`WorkerPool.exclusive`).
-* **Shared-memory results.**  Large result matrices come back through
-  POSIX shared memory using the same TOC layout the cluster publisher
-  uses (:func:`repro.serve.shm.build_toc` — segments carry the ``rsp-``
-  prefix, so the existing leak audits cover build segments too).  The
-  parent pre-creates each segment (it knows the result shape), the
-  worker writes into it, and only small metadata rides the result pipe.
-  Results below :data:`SHM_MIN_BYTES` skip the segment and ride the
-  pipe directly.
-* **Crash containment.**  A worker dying mid-task (OOM killer, segfault,
-  a deliberate test kill) must not hang the build: the result loop polls
-  worker liveness, and a death with tasks outstanding tears the pool
-  down — terminating survivors, unlinking every pending segment — and
-  surfaces one :class:`~repro.errors.EngineError` line.  The next build
-  gets a fresh pool.
-* **Spawn-safe task resolution.**  Tasks name their handler as a dotted
-  ``"module:function"`` string resolved inside the worker, so the pool
-  works identically under ``fork`` and ``spawn`` start methods.
+* **What goes remote.**  Leaf solves; whole subtrees from depth
+  ``log2(TASKS_PER_WORKER × jobs)`` down when the build has no subtree
+  cache (with one, the parent visits every node itself — cache probe,
+  stats, deposit — so repairs reuse exactly what ``parallel`` leaves);
+  conquer column blocks of at least :data:`MIN_REMOTE_CONQUER_OPS`.
+* **Deterministic interleaving.**  The parent advances the runnable
+  branch earliest in recursion pre-order; when every branch waits on a
+  worker it blocks for the earliest one.  Arrival order changes when the
+  parent computes, never what.
+* **Persistent workers** (:func:`get_pool`) outlive builds; handlers are
+  ``"module:function"`` names resolved in the worker.  Results of at
+  least :data:`SHM_MIN_BYTES` return through ``rsp-`` shared-memory
+  segments (the :func:`repro.serve.shm.build_toc` layout), smaller ones
+  through the result pipe.
+* **Crash containment.**  A worker death with tasks outstanding tears the
+  pool down (survivors terminated, segments unlinked) and raises one
+  :class:`~repro.errors.EngineError` line; the next build gets a fresh
+  pool.
 
-Observability: ``repro.build.pool.*`` counters (tasks by kind, task
-wall-clock, bytes moved by transport, worker spawns/crashes) land in the
-default metrics registry; see ``metrics.md``.
+``repro.build.pool.*`` counters (see ``metrics.md``) and one
+``build.solve.subtree`` span per node task record the pool traffic.
 """
 
 from __future__ import annotations
 
 import atexit
+import heapq
 import importlib
 import itertools
 import multiprocessing as mp
@@ -45,21 +41,30 @@ import queue as _queue
 import threading
 import time
 import traceback
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from types import GeneratorType
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.allpairs import Fork, InlineExecutor, ParallelEngine, minplus_block
 from repro.errors import EngineError
 from repro.obs.registry import default_registry
+from repro.pram.machine import PRAM
 from repro.serve.shm import (
-    _attach_untracked,
-    _segment_name,
-    build_toc,
-    read_array_block,
-    write_array_block,
+    _attach_untracked, _segment_name, build_toc, read_array_block, write_array_block,
 )
 
-__all__ = ["WorkerPool", "SHM_MIN_BYTES", "get_pool", "shutdown_pool", "default_jobs"]
+__all__ = ["PoolExecutor", "WorkerPool", "SHM_MIN_BYTES", "get_pool",
+           "shutdown_pool", "default_jobs", "pool_stats"]
+
+#: ship whole subtrees once the recursion has about this many nodes per
+#: worker on its frontier (cache-less builds only)
+TASKS_PER_WORKER = 4
+
+#: dispatch a conquer column block to the pool only above this many
+#: fused multiply-min element operations (below it the hop costs more)
+MIN_REMOTE_CONQUER_OPS = 1 << 18
 
 #: result payloads at or above this many bytes travel via shared memory;
 #: smaller ones are cheaper to pickle through the result pipe
@@ -88,8 +93,6 @@ def _resolve(fn_name: str):
 
 def _worker_main(task_q, result_q) -> None:
     """Worker process body: pull tasks until the ``None`` sentinel."""
-    from repro import kernels
-
     while True:
         try:
             task = task_q.get()
@@ -103,7 +106,6 @@ def _worker_main(task_q, result_q) -> None:
                 # test hook: die the way a segfault would — no cleanup,
                 # no exception, just a vanished process
                 os._exit(int(task.get("code", 3)))
-            kernels.set_jit(bool(task.get("jit", False)))
             t0 = time.perf_counter()
             result, arrays = _resolve(task["fn"])(task["payload"])
             seg_spec = task.get("seg")
@@ -138,25 +140,17 @@ class WorkerPool:
         self._kinds: Dict[int, str] = {}  # task id -> kind (for metrics)
         self._workers: list = []
         self.closed = False
-        reg = default_registry()
-        self._c_tasks = reg.counter(
-            "repro.build.pool.tasks", "build tasks dispatched to pool workers",
-            labels=["kind"],
-        )
-        self._c_wall = reg.counter(
-            "repro.build.pool.task_seconds", "worker-side task wall clock",
-            labels=["kind"],
-        )
-        self._c_bytes = reg.counter(
-            "repro.build.pool.result_bytes", "result payload bytes by transport",
-            labels=["transport"],
-        )
-        self._c_workers = reg.counter(
-            "repro.build.pool.workers_spawned", "pool worker processes started"
-        )
-        self._c_crashes = reg.counter(
-            "repro.build.pool.worker_crashes", "pool workers that died mid-build"
-        )
+        c = default_registry().counter
+        self._c_tasks = c("repro.build.pool.tasks",
+                          "build tasks dispatched to pool workers", labels=["kind"])
+        self._c_wall = c("repro.build.pool.task_seconds",
+                         "worker-side task wall clock", labels=["kind"])
+        self._c_bytes = c("repro.build.pool.result_bytes",
+                          "result payload bytes by transport", labels=["transport"])
+        self._c_workers = c("repro.build.pool.workers_spawned",
+                            "pool worker processes started")
+        self._c_crashes = c("repro.build.pool.worker_crashes",
+                            "pool workers that died mid-build")
         for _ in range(self.jobs):
             self._spawn()
 
@@ -183,7 +177,6 @@ class WorkerPool:
         payload: dict,
         arrays_spec: Optional[Dict[str, Tuple[tuple, str]]] = None,
         kind: str = "task",
-        jit: bool = False,
     ) -> int:
         """Queue one task; returns its id.  ``fn`` is a ``"module:func"``
         handler returning ``(result_dict, arrays_dict)``.  ``arrays_spec``
@@ -194,23 +187,18 @@ class WorkerPool:
         tid = next(_task_ids)
         seg_spec = None
         if arrays_spec:
-            toc, size = build_toc(
-                {name: _Shaped(shape, dt) for name, (shape, dt) in arrays_spec.items()}
-            )
+            # zero-stride stand-ins: the layout needs shapes, not data
+            toc, size = build_toc({
+                name: np.broadcast_to(np.zeros((), dt), shape)
+                for name, (shape, dt) in arrays_spec.items()
+            })
             if size >= SHM_MIN_BYTES:
                 shm = shared_memory.SharedMemory(
                     create=True, size=max(size, 1), name=_segment_name()
                 )
                 self._segments[tid] = (shm, toc)
                 seg_spec = (shm.name, toc)
-        task = {
-            "id": tid,
-            "kind": kind,
-            "fn": fn,
-            "payload": payload,
-            "seg": seg_spec,
-            "jit": bool(jit),
-        }
+        task = {"id": tid, "kind": kind, "fn": fn, "payload": payload, "seg": seg_spec}
         self._outstanding.add(tid)
         self._kinds[tid] = kind
         try:
@@ -245,28 +233,20 @@ class WorkerPool:
                 continue
             self._outstanding.discard(tid)
             if status == "error":
-                detail = msg[4]
-                self.fail(f"build task failed in worker: {body}", detail=detail)
-            arrays = msg[4]
-            seg = self._segments.pop(tid, None)
+                self.fail(f"build task failed in worker: {body}")
+            arrays, transport = msg[4], "pipe"
+            seg = self._segments.get(tid)
             if seg is not None:
-                shm, toc = seg
                 try:
-                    views = read_array_block(shm.buf, toc)
+                    views = read_array_block(seg[0].buf, seg[1])
                     arrays = {name: np.array(v) for name, v in views.items()}
                     del views
-                    self._c_bytes.inc(
-                        sum(a.nbytes for a in arrays.values()), transport="shm"
-                    )
                 finally:
-                    shm.close()
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-            elif arrays:
+                    self._drop_segment(tid)
+                transport = "shm"
+            if arrays:
                 self._c_bytes.inc(
-                    sum(a.nbytes for a in arrays.values()), transport="pipe"
+                    sum(a.nbytes for a in arrays.values()), transport=transport
                 )
             kind = self._kinds.pop(tid, "task")
             self._c_wall.inc(max(0.0, float(wall)), kind=kind)
@@ -293,7 +273,7 @@ class WorkerPool:
             f"{codes}); pool torn down, partial results discarded"
         )
 
-    def fail(self, message: str, detail: Optional[str] = None) -> None:
+    def fail(self, message: str) -> None:
         """Tear the pool down and raise one EngineError line."""
         self.shutdown(force=True)
         raise EngineError(message)
@@ -351,15 +331,6 @@ class WorkerPool:
             pass
 
 
-class _Shaped:
-    """Duck-typed stand-in with just the attributes build_toc reads."""
-
-    def __init__(self, shape: tuple, dtype_str: str) -> None:
-        self.shape = tuple(int(s) for s in shape)
-        self.dtype = np.dtype(dtype_str)
-        self.nbytes = int(self.dtype.itemsize * int(np.prod(self.shape, dtype=np.int64)))
-
-
 # ----------------------------------------------------------------------
 # the module-level pool (one per process, resized on demand)
 
@@ -389,3 +360,234 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
+
+
+# ----------------------------------------------------------------------
+# the executor: ParallelEngine's recursion with work shipped to the pool
+
+def pool_stats(workers: int = 0) -> dict:
+    """The zeroed ``provenance["pool"]`` record of one build."""
+    return {
+        "workers": workers, "inline": workers == 0, "tasks": 0,
+        "leaf_tasks": 0, "subtree_tasks": 0, "conquer_tasks": 0,
+        "worker_wall_s": 0.0,
+    }
+
+
+@dataclass
+class Task:
+    """One unit of work for a pool worker.  ``finish(body, matrix)``
+    folds the worker's result into the parent and returns the value the
+    recursion receives in its place."""
+
+    fn: str
+    payload: dict
+    shape: tuple
+    kind: str
+    finish: Callable
+    span: Optional[dict] = None
+
+
+@dataclass
+class _Fiber:
+    """A branch of the recursion: its pre-order key, its generator
+    (``None`` for a bare task), the branch slot it fills in ``parent``,
+    and — while suspended on a Fork — that Fork's machines and results."""
+
+    key: tuple
+    gen: object = None
+    parent: Optional["_Fiber"] = None
+    slot: int = 0
+    fork: Optional[Fork] = None
+    machines: list = field(default_factory=list)
+    results: list = field(default_factory=list)
+    pending: int = 0
+
+
+class PoolExecutor(InlineExecutor):
+    """Drives the recursion with independent work on a :class:`WorkerPool`
+    (see the module docstring for what goes remote and in what order)."""
+
+    def __init__(self, pool: WorkerPool, jobs: int) -> None:
+        self.pool = pool
+        self.stats = pool_stats(jobs)
+        self._ship_depth = (TASKS_PER_WORKER * jobs - 1).bit_length()
+
+    # -- the two offload hooks -------------------------------------------
+    def node_task(self, engine, rect_idx, pts, pram, depth):
+        leaf = len(rect_idx) <= engine.leaf_size
+        if not leaf and (engine._sub_cache is not None or depth < self._ship_depth):
+            return None
+        tags = {}
+        if not leaf:
+            # the chains the subtree's conquers may group by: every point
+            # it can see lies in its tracked points' bounding box
+            xs, ys = zip(*pts)
+            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+            tags = {
+                p: t for p, t in engine._chain_tags.items()
+                if x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+            }
+        ctx = {k: getattr(engine, k)
+               for k in ("rects", "seams", "leaf_size", "monge_dispatch", "divide")}
+        payload = {"ctx": ctx, "rect_idx": rect_idx, "pts": pts, "depth": depth,
+                   "tags": tags, "next_chain_id": engine._next_chain_id}
+
+        def finish(body, mat):
+            t, w, width = body["pram"]
+            pram.charge(time=t, work=w, width=width)
+            engine.stats.merge(body["stats"])
+            # re-id the worker's new chains; setdefault keeps any tag the
+            # parent minted meanwhile (ids are labels, only the partition
+            # of points into chains matters)
+            for members in body["chains"]:
+                cid = engine._fresh_chain_id()
+                for p, k in members:
+                    engine._chain_tags.setdefault(p, (cid, k))
+            return (pts, mat), body["aux"]
+
+        span = {"n_rects": len(rect_idx), "n_points": len(pts), "depth": depth}
+        return Task("repro.core.pool:_solve_task", payload, (len(pts),) * 2,
+                    "leaf" if leaf else "subtree", finish, span)
+
+    def block_job(self, engine, a, b, certify):
+        if a.shape[0] * b.shape[1] * max(1, a.shape[1]) < MIN_REMOTE_CONQUER_OPS:
+            return super().block_job(engine, a, b, certify)
+
+        def remote(m: PRAM) -> Task:
+            def finish(body, out):
+                t, w, width = body["pram"]
+                m.charge(time=t, work=w, width=width)
+                engine.stats.monge_fast_blocks += body["fast"]
+                return out
+
+            payload = {"a": a, "b": np.ascontiguousarray(b), "certify": certify}
+            return Task("repro.core.pool:_block_task", payload,
+                        (a.shape[0], b.shape[1]), "conquer", finish)
+
+        return remote
+
+    # -- running the recursion -------------------------------------------
+    def run(self, gen):
+        with self.pool.exclusive():
+            try:
+                return self._drive(gen)
+            except BaseException:
+                self.pool.abandon()  # late results are dropped on sight
+                raise
+
+    def _drive(self, gen):
+        ready: list = []  # heap of (pre-order key, seq, fiber, value to send)
+        waiting: Dict[int, tuple] = {}  # task id -> (fiber, task)
+        arrived: Dict[int, tuple] = {}
+        out: list = []
+        seq = itertools.count()
+
+        def push(fiber, value):
+            heapq.heappush(ready, (fiber.key, next(seq), fiber, value))
+
+        def complete(fiber, value):
+            parent = fiber.parent
+            if parent is None:
+                out.append(value)
+                return
+            parent.results[fiber.slot] = value
+            parent.pending -= 1
+            if parent.pending == 0:
+                parent.fork.pram.join(parent.machines)
+                push(parent, parent.results)
+
+        def submit(fiber, task):
+            tid = self.pool.submit(task.fn, task.payload,
+                                   arrays_spec={"matrix": (task.shape, "<f8")},
+                                   kind=task.kind)
+            waiting[tid] = (fiber, task)
+            self.stats["tasks"] += 1
+            self.stats[f"{task.kind}_tasks"] += 1
+
+        def fork(fiber, req: Fork):
+            n = len(req.branches)
+            fiber.fork, fiber.pending, fiber.results = req, n, [None] * n
+            fiber.machines = [req.pram.child(i) for i in range(n)]
+            for i, (branch, m) in enumerate(zip(req.branches, fiber.machines)):
+                r = branch(m)
+                child = _Fiber(fiber.key + (i,), parent=fiber, slot=i)
+                if isinstance(r, GeneratorType):
+                    child.gen = r
+                    push(child, None)
+                elif isinstance(r, Task):
+                    submit(child, r)
+                else:
+                    complete(child, r)
+
+        push(_Fiber((), gen), None)
+        while not out:
+            if ready:
+                _, _, fiber, value = heapq.heappop(ready)
+                try:
+                    req = fiber.gen.send(value)
+                except StopIteration as stop:
+                    complete(fiber, stop.value)
+                    continue
+                if isinstance(req, Task):
+                    submit(fiber, req)
+                else:
+                    fork(fiber, req)
+                continue
+            tid = min(waiting, key=lambda t: waiting[t][0].key)
+            while tid not in arrived:
+                got, wall, body, arrays = self.pool.next_result()
+                arrived[got] = (wall, body, arrays)
+            wall, body, arrays = arrived.pop(tid)
+            fiber, task = waiting.pop(tid)
+            self.stats["worker_wall_s"] += float(wall)
+            if task.span is not None:
+                _emit_span(task, wall)
+            value = task.finish(body, arrays["matrix"])
+            if fiber.gen is None:
+                complete(fiber, value)
+            else:
+                push(fiber, value)
+        return out[0]
+
+
+def _emit_span(task: Task, wall: float) -> None:
+    from repro.obs.tracing import finish, span
+    from repro.pipeline import BUILD_SPANS, current_build_trace
+
+    now = time.time()
+    sp = span("build.solve.subtree", current_build_trace(),
+              t0=now - max(0.0, float(wall)), kind=task.kind, **task.span)
+    BUILD_SPANS.add(finish(sp, t1=now))
+
+
+# -- worker-side task handlers (resolved by name in the worker) ---------
+def _solve_task(payload: dict):
+    """A node body (leaf or whole subtree) on an inline engine, plus the
+    PRAM charges, stats and new chains the parent folds back."""
+    eng = ParallelEngine(validate=False, **payload["ctx"])
+    eng._chain_tags.update(payload["tags"])
+    eng._next_chain_id = payload["next_chain_id"]
+    w = PRAM("pool-task")
+    (_, mat), aux = eng._executor.run(
+        eng._solve_node(payload["rect_idx"], payload["pts"], w, payload["depth"])
+    )
+    chains: Dict[int, list] = {}
+    for p, (cid, k) in eng._chain_tags.items():
+        if p not in payload["tags"]:
+            chains.setdefault(cid, []).append((p, k))
+    body = {
+        "pram": (w.time, w.work, w.max_ops),
+        "aux": aux,
+        "stats": vars(eng.stats),
+        "chains": [sorted(chains[c], key=lambda pk: pk[1]) for c in sorted(chains)],
+    }
+    return body, {"matrix": np.ascontiguousarray(mat, dtype=np.float64)}
+
+
+def _block_task(payload: dict):
+    """One conquer column block (:func:`repro.core.allpairs.minplus_block`)."""
+    m = PRAM("pool-block")
+    out, fast = minplus_block(payload["a"], payload["b"], payload["certify"], m)
+    body = {"pram": (m.time, m.work, m.max_ops), "fast": fast}
+    return body, {"matrix": np.ascontiguousarray(out, dtype=np.float64)}

@@ -16,8 +16,6 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro import kernels
-
 R = TypeVar("R")
 C = TypeVar("C")
 
@@ -102,11 +100,6 @@ def smawk_row_minima_array(offsets: np.ndarray, b: np.ndarray) -> np.ndarray:
     argmin = np.zeros((al, bc), dtype=np.intp)
     if al == 0 or bc == 0:
         return argmin
-    if kernels.jit_active():
-        # compiled backend (repro.kernels): the same monotone conquer as
-        # one njit loop, replicating leftmost-tie and ∞-row semantics
-        # exactly — argmins (hence products) are bit-identical
-        return kernels.smawk_argmin(offsets, b)
     # Level-order traversal of the balanced conquer over [0, bc).  A node
     # is (jlo, jhi) half-open with bounding columns lb/rb already solved
     # (-1 = no bound yet); monotonicity pins its mid column's search range

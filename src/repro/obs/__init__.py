@@ -15,8 +15,7 @@ Three legs, one package:
   one-JSON-object-per-line subsystem loggers.
 
 :mod:`repro.obs.recorders` holds the sample-keeping recorders
-(:class:`LatencyRecorder`, :class:`BatchHistogram`) that used to live in
-``repro.serve.metrics``; that module remains as a deprecated shim.
+(:class:`LatencyRecorder`, :class:`BatchHistogram`).
 """
 
 from repro.obs.logging import JsonLogger, get_logger, set_log_stream
@@ -68,7 +67,7 @@ __all__ = [
     "merge_snapshots",
     "count_series",
     "CONTENT_TYPE",
-    # recorders (ex serve.metrics)
+    # recorders
     "LatencyRecorder",
     "BatchHistogram",
     "percentile",

@@ -10,9 +10,6 @@ summaries.
 
 Both recorders are thread-safe (one lock each; the serving layers record
 from worker threads and asyncio executor threads alike).
-
-This module is the home of what used to live in ``repro.serve.metrics``;
-that module remains as a deprecated re-export shim.
 """
 
 from __future__ import annotations

@@ -93,10 +93,9 @@ BUILD_SPANS = SpanBuffer(512)
 
 #: per-build options that cannot ride the fixed engine signature
 #: ``solve(dec, graph, pram, leaf_size)``: worker count for ``parallel-mp``,
-#: the jit flag, this build's trace id, and the pool stats the engine
-#: reports back for provenance.  Thread-local so concurrent builds with
-#: different settings (a QueryServer thread vs. a repair thread) don't
-#: bleed into each other.
+#: this build's trace id, and the pool stats the engine reports back for
+#: provenance.  Thread-local so concurrent builds with different settings
+#: (a QueryServer thread vs. a repair thread) don't bleed into each other.
 _BUILD_OPTS = threading.local()
 
 
@@ -348,15 +347,27 @@ def _graph(scene: Scene, dec: DecomposeArtifact) -> GraphArtifact:
     return GraphArtifact(tuple(pts), tuple(scene.extra_points))
 
 
-@register_engine(
-    "parallel",
-    description="§5/§6 divide-and-conquer on staircase separators (simulated PRAM)",
-)
-def _solve_parallel(
-    dec: DecomposeArtifact, graph: GraphArtifact, pram: PRAM, leaf_size: int
-) -> DistanceIndex:
+def _paper_engine(dec, graph, pram, leaf_size, engine, **kwargs):
+    """The §5/§6 :class:`~repro.core.allpairs.ParallelEngine` with the
+    executor ``engine`` names: inline for ``parallel``; a worker pool for
+    ``parallel-mp``, which stays inline when ``jobs`` is 1 (one worker
+    buys only IPC) or the pool cannot start (sandboxed /dev/shm, fork
+    limits — the reason lands in provenance)."""
     from repro.core.allpairs import ParallelEngine
 
+    executor = None
+    if engine == "parallel-mp":
+        from repro.core import pool
+
+        jobs = getattr(_BUILD_OPTS, "jobs", None) or pool.default_jobs()
+        stats = pool.pool_stats()
+        if jobs > 1:
+            try:
+                executor = pool.PoolExecutor(pool.get_pool(jobs), jobs)
+                stats = executor.stats
+            except Exception as exc:  # pragma: no cover - host-dependent
+                stats["pool_error"] = f"{type(exc).__name__}: {exc}"
+        _BUILD_OPTS.pool_stats = stats
     return ParallelEngine(
         dec.all_rects,
         list(graph.extras),
@@ -364,54 +375,28 @@ def _solve_parallel(
         leaf_size=leaf_size,
         validate=False,
         seams=dec.seams,
-    ).build()
-
-
-@register_engine(
-    "parallel-mp",
-    description="the §5/§6 divide-and-conquer with separator subtrees and "
-    "(min,+) conquers dispatched across a real multiprocessing worker pool "
-    "(byte-identical to 'parallel')",
-)
-def _solve_parallel_mp(
-    dec: DecomposeArtifact, graph: GraphArtifact, pram: PRAM, leaf_size: int
-) -> DistanceIndex:
-    from repro.core.mpengine import ParallelMPEngine
-
-    jobs, pool, pool_error = _acquire_build_pool()
-    eng = ParallelMPEngine(
-        dec.all_rects,
-        list(graph.extras),
-        pram,
-        leaf_size=leaf_size,
-        validate=False,
-        seams=dec.seams,
-        pool=pool,
-        jobs=jobs,
+        executor=executor,
+        **kwargs,
     )
-    index = eng.build()
-    stats = dict(eng.pool_stats)
-    if pool_error is not None:
-        stats["pool_error"] = pool_error
-    _BUILD_OPTS.pool_stats = stats
-    return index
 
 
-def _acquire_build_pool():
-    """The (jobs, pool, error) triple for a ``parallel-mp`` solve.  A pool
-    that cannot start (sandboxed /dev/shm, fork limits) degrades to the
-    inline single-core path with the reason recorded in provenance."""
-    from repro.core.pool import default_jobs, get_pool
+def _solve_paper(engine: str) -> SolveFn:
+    def solve(dec, graph, pram, leaf_size):
+        return _paper_engine(dec, graph, pram, leaf_size, engine).build()
 
-    jobs = getattr(_BUILD_OPTS, "jobs", None) or default_jobs()
-    if jobs <= 1:
-        # one worker buys only IPC overhead; run inline (still the same
-        # bytes — the MP engine's inline path is the parent class)
-        return 1, None, None
-    try:
-        return jobs, get_pool(jobs), None
-    except Exception as exc:  # pragma: no cover - host-dependent
-        return jobs, None, f"{type(exc).__name__}: {exc}"
+    return solve
+
+
+register_engine(
+    "parallel",
+    description="§5/§6 divide-and-conquer on staircase separators (simulated PRAM)",
+)(_solve_paper("parallel"))
+register_engine(
+    "parallel-mp",
+    description="the §5/§6 divide-and-conquer with leaves, separator subtrees "
+    "and (min,+) conquer blocks run on a real multiprocessing worker pool "
+    "(byte-identical to 'parallel')",
+)(_solve_paper("parallel-mp"))
 
 
 @register_engine(
@@ -471,7 +456,6 @@ def build_index(
     incremental: bool = False,
     delta_hint: Optional[tuple] = None,
     jobs: Optional[int] = None,
-    jit: bool = False,
 ):
     """Run the full stage pipeline over ``scene`` and return a queryable
     :class:`~repro.core.api.ShortestPathIndex` with ``idx.provenance``
@@ -496,12 +480,7 @@ def build_index(
 
     ``jobs`` sizes the ``parallel-mp`` engine's worker pool (default:
     the visible cores, capped at 8; ignored by other engines).
-    ``jit=True`` opts the solve into the compiled kernels of
-    :mod:`repro.kernels` when numba is importable — results are
-    byte-identical either way, and ``idx.provenance["jit"]`` records
-    what actually ran.
     """
-    from repro import kernels
     from repro.core.api import ShortestPathIndex
 
     spec = get_engine(engine)  # fail before any work on a bad name
@@ -516,8 +495,7 @@ def build_index(
     try:
         return _build_index_inner(
             scene, engine, pram, leaf_size, cache, incremental, delta_hint,
-            jit, spec, stages, geo_hash, full_hash, kernels,
-            ShortestPathIndex,
+            spec, stages, geo_hash, full_hash, ShortestPathIndex,
         )
     finally:
         _BUILD_OPTS.jobs = None
@@ -527,7 +505,7 @@ def build_index(
 
 def _build_index_inner(
     scene, engine, pram, leaf_size, cache, incremental, delta_hint,
-    jit, spec, stages, geo_hash, full_hash, kernels, ShortestPathIndex,
+    spec, stages, geo_hash, full_hash, ShortestPathIndex,
 ):
 
     dec, _ = _run_stage(
@@ -553,14 +531,12 @@ def _build_index_inner(
     sub_stats: Optional[dict] = None
     if not cached:
         child = PRAM(f"{pram.name}/solve[{engine}]", pram.detect_conflicts)
-        with kernels.use_jit(jit):
-            if inc_ok:
-                index, sub_stats = _solve_parallel_incremental(
-                    dec, graph, child, leaf_size, cache, delta_hint,
-                    engine=engine,
-                )
-            else:
-                index = spec.solve(dec, graph, child, leaf_size)
+        if inc_ok:
+            index, sub_stats = _solve_parallel_incremental(
+                dec, graph, child, leaf_size, cache, delta_hint, engine
+            )
+        else:
+            index = spec.solve(dec, graph, child, leaf_size)
         # the matrix may be aliased by every later build of this scene (a
         # cache hit shares the ndarray, it does not copy): freeze it so an
         # in-place edit through one index cannot corrupt the others
@@ -594,12 +570,6 @@ def _build_index_inner(
         "n_rects": len(dec.all_rects),
         "stages": stages,
         "incremental": bool(inc_ok),
-        "jit": {
-            "requested": bool(jit),
-            "available": kernels.available() if jit else None,
-            "active": bool(jit) and kernels.available(),
-            "backend": kernels.backend() if jit else "numpy",
-        },
     }
     if sub_stats is not None:
         idx.provenance["subtree"] = sub_stats
@@ -631,11 +601,9 @@ def _solve_parallel_incremental(
     leaf_size: int,
     cache: StageCache,
     delta_hint: Optional[tuple],
-    engine: str = "parallel",
+    engine: str,
 ):
     """The parallel solve with subtree caching on (see ``build_index``)."""
-    from repro.core.allpairs import ParallelEngine
-
     # anything that changes a node's *values* for a fixed rect multiset
     # must be part of the subtree salt, or two configurations would trade
     # entries: leaf size (recursion shape), pivot rule, and the seam set
@@ -647,31 +615,14 @@ def _solve_parallel_incremental(
         leaf_size,
         tuple(sorted((s.x, s.ylo, s.yhi) for s in dec.seams)),
     )
-    kwargs = dict(
-        leaf_size=leaf_size,
-        validate=False,
-        seams=dec.seams,
+    eng = _paper_engine(
+        dec, graph, pram, leaf_size, engine,
         divide="stable",
         subtree_cache=cache,
         subtree_salt=salt,
         delta_hint=delta_hint,
     )
-    if engine == "parallel-mp":
-        from repro.core.mpengine import ParallelMPEngine
-
-        jobs, pool, pool_error = _acquire_build_pool()
-        eng = ParallelMPEngine(
-            dec.all_rects, list(graph.extras), pram,
-            pool=pool, jobs=jobs, **kwargs,
-        )
-    else:
-        eng = ParallelEngine(dec.all_rects, list(graph.extras), pram, **kwargs)
     index = eng.build()
-    if engine == "parallel-mp":
-        stats = dict(eng.pool_stats)
-        if pool_error is not None:
-            stats["pool_error"] = pool_error
-        _BUILD_OPTS.pool_stats = stats
     s = eng.stats
     return index, {
         "hits": s.subtree_hits,

@@ -106,22 +106,26 @@ class PRAM:
         combinator used by the §5/§6 divide-and-conquer (all recursive calls
         at one tree level run simultaneously on a PRAM).
         """
+        children = [self.child(i) for i in range(len(branches))]
         results: list[T] = []
-        child_times: list[int] = []
-        total_work = 0
-        widest = 0
-        for i, fn in enumerate(branches):
-            child = PRAM(f"{self.name}/{i}", self.detect_conflicts)
+        for child, fn in zip(children, branches):
             with pram_scope(child):
                 results.append(fn(child))
-            child_times.append(child.time)
-            total_work += child.work
-            widest = max(widest, child.max_ops)
-        self.step_id += 1
-        self.time += max(child_times, default=0)
-        self.work += total_work
-        self.max_ops = max(self.max_ops, widest)
+        self.join(children)
         return results
+
+    def child(self, i: int) -> "PRAM":
+        """A fresh sub-machine for branch ``i`` of a :meth:`parallel` step."""
+        return PRAM(f"{self.name}/{i}", self.detect_conflicts)
+
+    def join(self, children: Sequence["PRAM"]) -> None:
+        """Fold finished side-by-side sub-machines in: the end of a
+        :meth:`parallel` step, also used by executors that run the
+        branches elsewhere."""
+        self.step_id += 1
+        self.time += max((c.time for c in children), default=0)
+        self.work += sum(c.work for c in children)
+        self.max_ops = max([self.max_ops] + [c.max_ops for c in children])
 
     # ------------------------------------------------------------------
     def snapshot(self) -> tuple[int, int]:

@@ -17,8 +17,7 @@ is the *online* half an actual deployment needs:
 * :mod:`repro.serve.server` — :class:`QueryServer`, the batching
   front-end that coalesces same-scene length requests into single
   vectorized matrix gathers;
-The latency/batch recorders that used to live in
-``repro.serve.metrics`` moved to :mod:`repro.obs` (the unified
+The latency/batch recorders live in :mod:`repro.obs` (the unified
 observability subsystem); the re-exports below are kept for
 compatibility.
 """

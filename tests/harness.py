@@ -16,7 +16,7 @@ validates paths and cross-checks engines the same way:
     vertex matrices, valid sampled paths, and oracle-exact arbitrary-point
     queries.  On failure the scene is shrunk and dumped as replayable JSON
     under ``tests/failures/`` (load it back with
-    ``python -m repro query <dump> ...`` or ``scenefile.load_scene``).
+    ``python -m repro query <dump> ...`` or ``repro.scene.Scene.load``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import pathlib
 
 from repro.core.crosscheck import check_scene, shrink_scene, validate_path
-from repro.workloads.scenefile import save_scene
+from repro.scene import Scene
 
 FAILURE_DIR = pathlib.Path(__file__).parent / "failures"
 
@@ -81,7 +81,7 @@ def assert_engines_agree(
     )
     FAILURE_DIR.mkdir(exist_ok=True)
     dump = FAILURE_DIR / f"{label}_{seed}.json"
-    save_scene(dump, small, small_container)
+    Scene.from_obstacles(small, small_container).save(dump)
     raise AssertionError(
         f"engines disagree on {label} (seed {seed}): {problems[0]} "
         f"[{len(problems)} problem(s); shrunk replay scene: {dump}]"

@@ -222,12 +222,13 @@ class TestSceneSchemaV2:
             main(["query", str(scene), "0,12", "12,0"])
 
     def test_scene_dict_roundtrip(self):
+        from repro.scene import Scene
         from repro.workloads.generators import random_polygon_scene
-        from repro.workloads.scenefile import scene_from_dict, scene_to_dict
 
         obstacles = random_polygon_scene(2, 2, seed=5)
-        data = scene_to_dict(obstacles)
-        back, container = scene_from_dict(json.loads(json.dumps(data)))
+        data = Scene.from_obstacles(obstacles).to_dict()
+        scene = Scene.from_dict(json.loads(json.dumps(data)))
+        back, container = list(scene.obstacles), scene.container
         assert container is None
         # order normalizes to rects-then-polygons; content is exact
         def split(obs):

@@ -128,22 +128,23 @@ def test_solid_semantics_blocks_seam_shortcut():
         assert_valid_path(idx, path, (2, -2), (2, 2), 10)
 
 
-def test_fuzz_parallel_mp_jit_modes():
-    """parallel-mp under jit=True vs jit=False on seam-heavy scenes: the
-    compiled kernels (or, without numba, the fallback) must leave the
-    matrix byte-identical."""
+def test_fuzz_parallel_mp_seam_parity():
+    """parallel-mp on seam-heavy scenes, inline and on a 2-worker pool:
+    the matrix must be byte-identical to the single-process parallel
+    engine's."""
     from repro.pipeline import StageCache, build_index
     from repro.scene import Scene
 
     for seed in (0, 4):
         obstacles = random_polygon_scene(n_polygons=2, n_rects=3, seed=seed)
         scene = Scene.from_obstacles(obstacles)
-        on = build_index(
-            scene, engine="parallel-mp", jobs=2, jit=True,
-            cache=StageCache(max_entries=0),
+        ref = build_index(
+            scene, engine="parallel", cache=StageCache(max_entries=0)
         )
-        off = build_index(
-            scene, engine="parallel-mp", jobs=2, jit=False,
-            cache=StageCache(max_entries=0),
-        )
-        assert on.index.matrix.tobytes() == off.index.matrix.tobytes()
+        for jobs in (1, 2):
+            mp = build_index(
+                scene, engine="parallel-mp", jobs=jobs,
+                cache=StageCache(max_entries=0),
+            )
+            assert list(mp.index.points) == list(ref.index.points)
+            assert mp.index.matrix.tobytes() == ref.index.matrix.tobytes()

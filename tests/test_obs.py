@@ -282,21 +282,6 @@ class TestJsonLogger:
 
 
 # ----------------------------------------------------------------------
-# the deprecation shim
-# ----------------------------------------------------------------------
-def test_serve_metrics_shim_warns_and_reexports():
-    import importlib
-
-    import repro.serve.metrics as legacy
-
-    with pytest.deprecated_call():
-        legacy = importlib.reload(legacy)
-    from repro.obs.recorders import LatencyRecorder
-
-    assert legacy.LatencyRecorder is LatencyRecorder
-
-
-# ----------------------------------------------------------------------
 # cluster wiring: parity, traced kills, the /metrics endpoint
 # ----------------------------------------------------------------------
 from repro.cluster.frontend import ClusterFrontend  # noqa: E402

@@ -3,8 +3,8 @@ and provenance — the contract behind ``ShortestPathIndex.build``.
 
 Locks the refactor invariants:
 
-* one authoritative scene parse/validate path (CLI, scenefile wrappers,
-  and cluster worker specs produce *identical* one-line error messages);
+* one authoritative scene parse/validate path (CLI and cluster worker
+  specs produce *identical* one-line error messages);
 * stage-cache semantics (same scene under a second engine reuses the
   geometry stages; same engine reuses everything; simulated PRAM costs
   replay identically on cache hits);
@@ -413,12 +413,6 @@ class TestStageCache:
         s = Scene.from_dict({"rects": [["0", "0", "2", "2"]]})
         assert s.obstacles == (Rect(0, 0, 2, 2),)
 
-    def test_legacy_wrappers_reject_extras_only_scenes(self):
-        from repro.workloads.scenefile import scene_from_dict
-
-        with pytest.raises(GeometryError, match="no obstacles"):
-            scene_from_dict({"version": 2, "extra_points": [[1, 1]]})
-
     def test_nonfinite_extras_rejected_for_every_engine(self):
         # Scene.from_obstacles is the door; the grid engine's own gate
         # stays as defense-in-depth for directly constructed artifacts
@@ -548,15 +542,6 @@ class TestProvenance:
 
 # ----------------------------------------------------------------------
 class TestSceneLayer:
-    def test_scenefile_wrappers_delegate(self):
-        from repro.workloads.scenefile import scene_from_dict, scene_to_dict
-
-        data = scene_of().to_dict()
-        obstacles, container = scene_from_dict(data)
-        assert obstacles == list(scene_of().obstacles)
-        assert container is None
-        assert scene_to_dict(obstacles) == data
-
     def test_bad_rect_row_message_identical_everywhere(self, tmp_path):
         bad = {"rects": [[0, 0, "x", 10]]}
         with pytest.raises(GeometryError) as api_exc:

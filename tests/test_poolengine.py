@@ -18,8 +18,13 @@ import numpy as np
 import pytest
 
 from repro.core.allpairs import ParallelEngine
-from repro.core.mpengine import ParallelMPEngine
-from repro.core.pool import WorkerPool, default_jobs, get_pool, shutdown_pool
+from repro.core.pool import (
+    PoolExecutor,
+    WorkerPool,
+    default_jobs,
+    get_pool,
+    shutdown_pool,
+)
 from repro.errors import EngineError
 from repro.geometry.primitives import Rect
 from repro.pipeline import StageCache, build_index, update_index
@@ -27,7 +32,6 @@ from repro.pram.machine import PRAM
 from repro.scene import Scene, SceneDelta
 from repro.serve.shm import list_segments
 from repro.workloads.generators import random_disjoint_rects, random_polygon_scene
-from repro import kernels
 
 
 def _rect_scene(n, seed):
@@ -80,14 +84,17 @@ def test_engine_stats_match_single_process():
     p1, p2 = PRAM("sp"), PRAM("mp")
     e1 = ParallelEngine(list(scene.obstacles), [], p1, validate=False)
     i1 = e1.build()
-    e2 = ParallelMPEngine(
-        list(scene.obstacles), [], p2, validate=False, pool=get_pool(2), jobs=2
+    executor = PoolExecutor(get_pool(2), 2)
+    e2 = ParallelEngine(
+        list(scene.obstacles), [], p2, validate=False, executor=executor
     )
     i2 = e2.build()
     assert i1.matrix.tobytes() == i2.matrix.tobytes()
     s1, s2 = vars(e1.stats), vars(e2.stats)
     assert s1 == s2
-    assert e2.pool_stats["tasks"] > 0
+    assert (p1.time, p1.work, p1.max_ops) == (p2.time, p2.work, p2.max_ops)
+    assert executor.stats["tasks"] > 0
+    assert executor.stats["subtree_tasks"] > 0
 
 
 def test_incremental_repair_byte_identical():
@@ -111,18 +118,23 @@ def test_incremental_repair_byte_identical():
 def test_subtree_deposits_interchangeable_with_parallel():
     """A repair seeded by a parallel-mp build reuses exactly as much as
     one seeded by parallel — the engines share one subtree-entry
-    population."""
+    population, entry for entry and byte for byte, inline or pooled."""
     rects = list(random_disjoint_rects(40, seed=7))
     scene = Scene(tuple(rects))
-    reports = {}
-    for engine in ("parallel", "parallel-mp"):
+    runs = [("parallel", None), ("parallel-mp", 1), ("parallel-mp", 2)]
+    seeded, reports = [], []
+    for engine, jobs in runs:
         cache = StageCache(max_entries=256, max_bytes=64 << 20)
         idx0 = build_index(
-            scene, engine=engine, jobs=2, incremental=True, cache=cache
+            scene, engine=engine, jobs=jobs, incremental=True, cache=cache
         )
+        st = cache.stats()
+        seeded.append((st["entries"], st["bytes"], st["misses"].get("solve")))
         idx1 = update_index(idx0, SceneDelta.delete(rects[20]))
-        reports[engine] = idx1.provenance["subtree"]
-    assert reports["parallel"] == reports["parallel-mp"]
+        reports.append(idx1.provenance["subtree"])
+    assert seeded[1] == seeded[0], runs[1]
+    assert seeded[2] == seeded[0], runs[2]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_jobs_one_runs_inline():
@@ -151,13 +163,71 @@ def test_mp_build_is_deterministic():
     assert mats[0] == mats[1]
 
 
+class _ShuffledPool:
+    """A stand-in pool that runs each task in-process when its result is
+    asked for, finishing outstanding tasks in a seeded random order."""
+
+    closed = False
+
+    def __init__(self, seed):
+        import random
+        import threading
+
+        self._rng = random.Random(seed)
+        self._lock = threading.RLock()
+        self._tasks = {}
+        self._ids = iter(range(1, 1 << 30))
+
+    def exclusive(self):
+        return self._lock
+
+    def submit(self, fn, payload, arrays_spec=None, kind="task"):
+        tid = next(self._ids)
+        self._tasks[tid] = (fn, payload)
+        return tid
+
+    def next_result(self):
+        from repro.core.pool import _resolve
+
+        tid = self._rng.choice(sorted(self._tasks))
+        fn, payload = self._tasks.pop(tid)
+        body, arrays = _resolve(fn)(payload)
+        return tid, 0.0, body, arrays
+
+    def abandon(self):
+        self._tasks.clear()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_any_arrival_order_gives_the_inline_result(seed):
+    """Whatever order workers finish in, the pool executor computes
+    exactly what the inline executor does: matrix bytes, PRAM totals,
+    recursion stats (Monge block counts included), and — with a subtree
+    cache — the same cache population."""
+    rects = list(random_disjoint_rects(60, seed=11))
+    for cached in (False, True):
+        runs = []
+        for executor in (None, PoolExecutor(_ShuffledPool(seed), 2)):
+            pram = PRAM("t")
+            cache = StageCache(max_entries=512, max_bytes=64 << 20) if cached else None
+            eng = ParallelEngine(
+                rects, [], pram, validate=False, executor=executor,
+                divide="stable" if cached else "median", subtree_cache=cache,
+            )
+            mat = eng.build().matrix.tobytes()
+            pop = cache.stats()["entries"] if cached else None
+            runs.append((mat, (pram.time, pram.work, pram.max_ops), vars(eng.stats), pop))
+        assert runs[0] == runs[1], f"cached={cached}"
+        assert executor.stats["tasks"] > 0
+
+
 # ----------------------------------------------------------------------
 # pool lifecycle
 # ----------------------------------------------------------------------
 def test_worker_crash_is_one_line_error_and_clean_shutdown():
     pool = WorkerPool(2)
     pids = [p.pid for p in pool._workers]
-    pool.submit("repro.core.mpengine:_task_solve", {}, kind="__crash__")
+    pool.submit("repro.core.pool:_solve_task", {}, kind="__crash__")
     with pytest.raises(EngineError) as ei:
         # the crash task never produces a result; liveness polling must
         # turn the dead worker into an error, not a hang
@@ -196,7 +266,7 @@ def test_build_recovers_after_pool_crash():
     """A crashed pool closes; the next build gets a fresh one from
     get_pool and succeeds."""
     pool = get_pool(2)
-    pool.submit("repro.core.mpengine:_task_solve", {}, kind="__crash__")
+    pool.submit("repro.core.pool:_solve_task", {}, kind="__crash__")
     with pytest.raises(EngineError):
         pool.next_result()
     assert pool.closed
@@ -249,99 +319,6 @@ def test_pool_counters_flow_through_registry():
 
 
 # ----------------------------------------------------------------------
-# compiled kernels (numba optional — the probe must stay honest)
-# ----------------------------------------------------------------------
-def test_jit_provenance_is_honest():
-    scene = _rect_scene(16, 6)
-    idx = build_index(
-        scene, engine="parallel", jit=True, cache=StageCache(max_entries=0)
-    )
-    prov = idx.provenance["jit"]
-    assert prov["requested"] is True
-    assert prov["available"] == kernels.available()
-    assert prov["active"] == kernels.available()
-    if kernels.available():
-        assert prov["backend"].startswith("numba-")
-    else:
-        assert prov["backend"] == "numpy"
-    off = build_index(scene, engine="parallel", cache=StageCache(max_entries=0))
-    assert off.provenance["jit"]["requested"] is False
-    assert off.provenance["jit"]["active"] is False
-
-
-def test_jit_on_matches_jit_off_bytes():
-    """jit=True must never change the answer — with numba installed this
-    compares compiled vs numpy kernels; without, it checks the fallback
-    path really is the plain solve."""
-    scene = _rect_scene(30, 8)
-    on = build_index(
-        scene, engine="parallel-mp", jobs=2, jit=True,
-        cache=StageCache(max_entries=0),
-    )
-    off = build_index(
-        scene, engine="parallel-mp", jobs=2, jit=False,
-        cache=StageCache(max_entries=0),
-    )
-    assert on.index.matrix.tobytes() == off.index.matrix.tobytes()
-
-
-@pytest.mark.skipif(not kernels.available(), reason="numba not installed")
-def test_compiled_smawk_matches_numpy():
-    from repro.monge.smawk import smawk_row_minima_array
-
-    rng = np.random.default_rng(0)
-    for trial in range(30):
-        al = int(rng.integers(1, 30))
-        inner = int(rng.integers(1, 30))
-        bc = int(rng.integers(1, 30))
-        offsets = rng.integers(0, 40, size=(al, inner)).astype(np.float64)
-        # a random Monge matrix: row/col offsets plus -s·k·j (mixed second
-        # difference -s ≤ 0); s = 0 every third trial makes ties dense so
-        # the leftmost-argmin rule is exercised hard
-        s = 0.0 if trial % 3 == 0 else float(rng.integers(1, 4))
-        k = np.arange(inner, dtype=np.float64)
-        j = np.arange(bc, dtype=np.float64)
-        b = (
-            rng.integers(0, 40, size=(inner, 1)).astype(np.float64)
-            + rng.integers(0, 40, size=(1, bc)).astype(np.float64)
-            - s * np.outer(k, j)
-        )
-        if trial % 4 == 0 and inner > 1:
-            b[int(rng.integers(0, inner)), :] = np.inf  # unreachable row
-        # brute-force leftmost argmin is the shared oracle for both paths
-        full = offsets[:, :, None] + b[None, :, :]
-        ref = np.argmin(full, axis=1)
-        with kernels.use_jit(False):
-            got_np = smawk_row_minima_array(offsets, b)
-        with kernels.use_jit(True):
-            got_jit = smawk_row_minima_array(offsets, b)
-        assert np.array_equal(ref, got_np), f"numpy path trial {trial}"
-        assert np.array_equal(got_np, got_jit), f"jit path trial {trial}"
-
-
-@pytest.mark.skipif(not kernels.available(), reason="numba not installed")
-def test_compiled_clear_l1_matches_numpy():
-    from repro.core.baseline import clear_l1_block
-
-    rects = list(random_disjoint_rects(8, seed=1))
-    pts = [(x, y) for x in range(0, 40, 7) for y in range(0, 20, 5)]
-    with kernels.use_jit(False):
-        ref = clear_l1_block(pts, pts, rects)
-    with kernels.use_jit(True):
-        got = clear_l1_block(pts, pts, rects)
-    assert np.array_equal(ref, got)
-
-
-def test_probe_reports_without_numba():
-    info = kernels.probe()
-    assert info["checked"] is True
-    assert isinstance(info["available"], bool)
-    if not info["available"]:
-        assert info["error"]
-        assert kernels.backend() == "numpy"
-
-
-# ----------------------------------------------------------------------
 # shared-memory transport helpers (reused by serve/ and the pool)
 # ----------------------------------------------------------------------
 def test_shm_block_roundtrip():
@@ -391,25 +368,25 @@ def test_worker_main_inline_roundtrip():
         "rects": rects, "seams": (), "leaf_size": 6,
         "monge_dispatch": True, "divide": "median",
     }
+    pts = list(dict.fromkeys(v for r in rects for v in r.vertices))
     tasks.put({
-        "id": 1, "kind": "leaf", "fn": "repro.core.mpengine:_task_solve",
+        "id": 1, "kind": "leaf", "fn": "repro.core.pool:_solve_task",
         "payload": {
-            "ctx": ctx, "kind": "leaf",
-            "rect_idx": tuple(range(len(rects))), "interface": (),
+            "ctx": ctx, "rect_idx": list(range(len(rects))), "pts": pts,
             "depth": 0, "tags": {}, "next_chain_id": 0,
         },
-        "seg": None, "jit": False,
+        "seg": None,
     })
     tasks.put({
         "id": 2, "kind": "task", "fn": "repro.core.pool:_resolve",
         "payload": {},  # _resolve() called with a dict explodes → error path
-        "seg": None, "jit": False,
+        "seg": None,
     })
     tasks.put(None)
     _worker_main(tasks, results)
     status, tid, wall, result, arrays = results.get_nowait()
     assert (status, tid) == ("ok", 1)
-    assert result["n"] == arrays["matrix"].shape[0]
+    assert arrays["matrix"].shape == (len(pts), len(pts))
     assert result["pram"][1] > 0  # leaf work was charged worker-side
     status, tid, _, msg, detail = results.get_nowait()
     assert (status, tid) == ("error", 2)
@@ -417,15 +394,15 @@ def test_worker_main_inline_roundtrip():
 
 
 def test_task_minplus_inline_matches_direct_product():
-    from repro.core.mpengine import _task_minplus
+    from repro.core.pool import _block_task
     from repro.monge.multiply import minplus_naive
 
     rng = np.random.default_rng(0)
     a = rng.integers(0, 20, size=(6, 5)).astype(np.float64)
     b = rng.integers(0, 20, size=(5, 7)).astype(np.float64)
-    body, arrays = _task_minplus({"a": a, "b": b, "certify": False})
+    body, arrays = _block_task({"a": a, "b": b, "certify": False})
     ref = minplus_naive(a, b, PRAM("ref"))
     assert np.array_equal(arrays["matrix"], ref)
     assert body["fast"] == 0
-    body2, arrays2 = _task_minplus({"a": a, "b": b, "certify": True})
+    body2, arrays2 = _block_task({"a": a, "b": b, "certify": True})
     assert np.array_equal(arrays2["matrix"], ref)  # naive/monge agree
