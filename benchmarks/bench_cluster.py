@@ -21,7 +21,7 @@ Two claims about :mod:`repro.cluster` are measured and recorded in
     (``cpu_limited`` is still recorded so the artifact says which regime
     it measured).
 
-* **flat worker memory** — one worker serving 1/4/8 shm-published
+* **flat worker memory** — one worker serving 1/4/8 published
   copies of an ~8 MB-matrix scene.  The worker's *private* bytes
   (``smaps_rollup``: what a copying design would pay per scene) must
   stay flat: growth across the whole sweep under 35% of what private
@@ -198,13 +198,13 @@ async def _measure_availability(indexes):
 
 
 async def _measure_private_bytes(idx, n_copies):
-    """One worker, ``n_copies`` shm-published copies of the same scene;
+    """One worker, ``n_copies`` published copies of the same scene;
     returns the worker's memory counters after touching every scene."""
     scenes = {f"c{i}": {"index": idx} for i in range(n_copies)}
     async with ClusterFrontend(scenes, workers=1, batch_window_ms=0.5) as fe:
         pools = await discover(fe.host, fe.port, seed=3)
-        # touch every scene: a bulk request per scene materializes the
-        # attachment and reads matrix pages
+        # touch every scene: a bulk request per scene maps the published
+        # file and reads matrix pages
         reqs = []
         for name, pool in sorted(pools.items()):
             verts = pool["vertices"]

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Cluster demo: a 2-worker shared-memory cluster, driven end to end.
+"""Cluster demo: a 2-worker cluster over published snapshots, end to end.
 
 Walks the whole `repro.cluster` stack in one process tree:
 
 1. build two scenes and start a :class:`ClusterFrontend` — the front-end
-   publishes each distance matrix into ``multiprocessing.shared_memory``
-   once, spawns two workers that attach zero-copy, and routes each scene
-   to its rendezvous-hashed owner;
+   writes each scene once as a snapshot file in its private ``rsp-``
+   directory, spawns two workers that map those files read-only, and
+   routes each scene to its rendezvous-hashed owner;
 2. talk the length-prefixed JSON protocol directly: single lengths, a
    bulk ``lengths`` batch, a path report, and an error (responses come
    back in request order, even across workers);
@@ -14,18 +14,19 @@ Walks the whole `repro.cluster` stack in one process tree:
    percentile report;
 4. fetch the ``stats`` verb: per-worker service percentiles, batch-size
    histograms, store/server counters, and memory (note the *private*
-   bytes — the matrices live in shared segments);
-5. stop the cluster: workers drain and exit, segments are unlinked.
+   bytes — the matrices are shared file pages, not copies);
+5. stop the cluster: workers drain and exit, the directory is removed.
 
 Run:  python examples/cluster_demo.py
 """
 
 import asyncio
+import os
 
 from repro import ShortestPathIndex
 from repro.cluster import ClusterFrontend, loadgen
 from repro.cluster.protocol import read_frame, write_frame
-from repro.serve.shm import list_segments
+from repro.serve.publish import list_published
 from repro.workloads.generators import random_disjoint_rects
 
 
@@ -41,7 +42,7 @@ async def rpc(host, port, *msgs):
 
 
 async def main() -> None:
-    # -- 1. two scenes, two workers, shared-memory snapshots ------------
+    # -- 1. two scenes, two workers, published snapshot files ----------
     campus = random_disjoint_rects(32, seed=11)
     depot = random_disjoint_rects(24, seed=12)
     idx = ShortestPathIndex.build(campus)  # built once, in the front-end
@@ -51,7 +52,7 @@ async def main() -> None:
         batch_window_ms=1.0,
     ) as fe:
         print(f"cluster on {fe.host}:{fe.port}; scene -> worker: {fe.assignment}")
-        print(f"shared segments: {list_segments()}")
+        print(f"published files: {sorted(os.listdir(fe.publisher.dir))}")
 
         # -- 2. speak the protocol directly -----------------------------
         vs = idx.vertices()
@@ -97,7 +98,7 @@ async def main() -> None:
             )
 
     # -- 5. clean shutdown ----------------------------------------------
-    print(f"after stop, shared segments: {list_segments()}")
+    print(f"after stop, publisher directories: {list_published()}")
 
 
 if __name__ == "__main__":

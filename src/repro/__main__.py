@@ -9,7 +9,7 @@ Commands
 ``serve-bench SCENE [...]``     replay a request workload through the
                                 batching server (per-request vs coalesced)
 ``cluster SCENE [...]``         serve scenes from N worker processes over
-                                shared memory behind an async TCP
+                                mapped snapshot files behind an async TCP
                                 front-end (``--workers N --port P``)
 ``loadgen``                     drive a running cluster: ``--closed``
                                 capacity runs or ``--open --rps R``
@@ -335,7 +335,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             queue_depth=args.queue_depth,
             pins=_parse_pins(args.pin),
             start_method=args.start_method,
-            use_shm=not args.no_shm,
             engine=args.engine,
             supervise=not args.no_supervise,
             restart_policy=RestartPolicy(
@@ -363,7 +362,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         )
         print(
             f"cluster listening on {frontend.host}:{frontend.port} "
-            f"({args.workers} workers, shm={'off' if args.no_shm else 'on'}; "
+            f"({args.workers} workers; "
             f"{shard_note})",
             flush=True,
         )
@@ -943,7 +942,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     cl = sub.add_parser(
         "cluster",
-        help="serve scenes from N shared-memory worker processes over TCP",
+        help="serve scenes from N worker processes sharing mapped snapshots over TCP",
     )
     cl.add_argument("scenes", nargs="+", help="JSON scenes and/or .rsp snapshots")
     cl.add_argument("--workers", type=int, default=2)
@@ -959,8 +958,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     cl.add_argument("--pin", action="append", default=[], metavar="SCENE=WID",
                     help="pin a scene to a worker id (overrides HRW hashing)")
     cl.add_argument("--engine", choices=engines, default="parallel")
-    cl.add_argument("--no-shm", action="store_true",
-                    help="workers materialize scenes privately (copy path)")
     cl.add_argument("--start-method", choices=["fork", "spawn", "forkserver"],
                     default=None)
     cl.add_argument("--ready-file",

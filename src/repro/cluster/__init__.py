@@ -1,4 +1,4 @@
-"""Horizontal serving: sharded workers over shared-memory snapshots.
+"""Horizontal serving: sharded workers over published snapshot files.
 
 ``repro.serve`` answers queries in one process; this package is the
 layer that spreads the same stack across N processes without copying a
@@ -10,8 +10,8 @@ single distance matrix — and keeps it serving while pieces of it fail:
   including deadlines and the ``health``/``drain`` lifecycle verbs;
 * :mod:`repro.cluster.worker` — the worker process: a
   :class:`~repro.serve.server.QueryServer` over a
-  :class:`~repro.serve.store.SceneStore` whose scenes attach from
-  :mod:`repro.serve.shm` segments;
+  :class:`~repro.serve.store.SceneStore` whose scenes map the snapshot
+  files :mod:`repro.serve.publish` wrote;
 * :mod:`repro.cluster.frontend` — the asyncio TCP front-end:
   micro-batching, bounded queues, load shedding, deadline expiry,
   ordered responses, and failover routing over the live worker set;

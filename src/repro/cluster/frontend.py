@@ -35,16 +35,16 @@ Data path::
 * **Updates** — the ``update`` verb applies an obstacle delta
   (:class:`repro.scene.SceneDelta` JSON) to a scene with zero downtime:
   the front-end repairs its index incrementally
-  (:func:`repro.pipeline.update_index`), republishes into a fresh shm
-  segment as generation N+1, and broadcasts the new manifest; workers
-  swap resident scenes atomically (in-flight batches finish on the
-  pinned old generation) and re-source the rest lazily.  Old segments
-  are unlinked once every live worker acknowledges.
+  (:func:`repro.pipeline.update_index`), or builds it when it holds
+  none, publishes generation N+1 as a new snapshot file, and broadcasts
+  its path; workers swap resident scenes atomically (in-flight batches
+  finish on the pinned old generation) and re-source the rest lazily.
+  The old file is unlinked once every live worker acknowledges.
 
-The front-end owns the shared-memory segments (it publishes every scene
-before spawning workers) and unlinks them in :meth:`ClusterFrontend.stop`.
-Because segments outlive any one worker process, a respawned worker
-re-attaches from the same manifests it was born with.
+The front-end owns the published snapshot files (it writes every scene
+before spawning workers) and removes them in :meth:`ClusterFrontend.stop`.
+Because the files outlive any one worker process, a respawned worker
+loads from the same specs the live workers were last given.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.obs.registry import (
 )
 from repro.obs.logging import get_logger
 from repro.obs.tracing import SpanBuffer, finish, new_trace_id, span
-from repro.serve.shm import ShmPublisher
+from repro.serve.publish import SnapshotPublisher
 
 #: ops the front-end forwards to a scene's owning worker
 _SCENE_OPS = (
@@ -160,18 +160,20 @@ class _SceneMetrics:
 
 
 class ClusterFrontend:
-    """Sharded multi-process serving over shared-memory snapshots.
+    """Sharded multi-process serving over published snapshot files.
 
     ``scenes`` maps scene names to sources::
 
-        {"snapshot": "campus.rsp"}            # load (or publish) from disk
-        {"obstacles": [...], "container": p}  # build in the front-end
-        {"index": idx}                        # already built (shm only)
+        {"snapshot": "campus.rsp"}            # handed to workers as is
+        {"obstacles": [...], "container": p}  # built in the front-end
+        {"index": idx}                        # already built
 
-    With ``use_shm=True`` (default) every scene's matrix is published
-    once into shared memory and workers attach zero-copy; with ``False``
-    each worker materializes privately (the copy path — kept for
-    benchmarking the difference and for hosts without ``/dev/shm``).
+    Built scenes are written once as snapshot files
+    (:class:`~repro.serve.publish.SnapshotPublisher`); every worker maps
+    the same file read-only, so no worker holds a private matrix copy.
+    A ``snapshot`` source that also carries ``obstacles`` gives workers a
+    rebuild fallback for a corrupt artifact and makes the scene
+    updatable.
 
     Every worker receives the full scene-spec list and materializes
     lazily, so residency follows routing — which is what lets any
@@ -190,7 +192,6 @@ class ClusterFrontend:
         queue_depth: int = 256,
         pins: Optional[Mapping[str, int]] = None,
         start_method: Optional[str] = None,
-        use_shm: bool = True,
         engine: str = "parallel",
         worker_max_bytes: Optional[int] = None,
         supervise: bool = True,
@@ -215,7 +216,6 @@ class ClusterFrontend:
         self.queue_depth = queue_depth
         self.pins = dict(pins or {})
         self.start_method = start_method
-        self.use_shm = use_shm
         self.engine = engine
         self.worker_max_bytes = worker_max_bytes
         self.supervise = supervise
@@ -230,7 +230,7 @@ class ClusterFrontend:
         self.injector = FaultInjector(faults) if faults is not None else None
         self.ready_timeout_s = ready_timeout_s
         self.assignment = assignment(sorted(scenes), workers, self.pins)
-        self.publisher: Optional[ShmPublisher] = None
+        self.publisher: Optional[SnapshotPublisher] = None
         self.workers: list[_Worker] = []
         self._worker_specs: list[dict] = []
         self._server: Optional[asyncio.base_events.Server] = None
@@ -314,22 +314,38 @@ class ClusterFrontend:
 
     # -- startup --------------------------------------------------------
     def _prepare_specs(self) -> list[dict]:
-        """Materialize/publish every scene; returns the full spec list
-        (every worker gets all of it — materialization is lazy)."""
-        specs: list[dict] = []
-        if self.use_shm:
-            self.publisher = ShmPublisher()
-        for name in sorted(self.scene_sources):
-            src = self.scene_sources[name]
-            if self.use_shm:
-                manifest = self._publish(name, src)
-                specs.append({"name": name, "kind": "shm", "manifest": manifest})
-            else:
-                specs.append(self._plain_spec(name, src))
-        return specs
+        """Publish every scene; returns the full spec list (every worker
+        gets all of it — materialization is lazy)."""
+        self.publisher = SnapshotPublisher()
+        return [
+            self._publish(name, self.scene_sources[name])
+            for name in sorted(self.scene_sources)
+        ]
 
     def _publish(self, name: str, src: dict) -> dict:
+        """One scene source as a published snapshot file and the worker
+        spec that loads it."""
+        from repro.scene import Scene
+
         assert self.publisher is not None
+        scene = None
+        if "obstacles" in src:
+            scene = Scene.from_obstacles(
+                src["obstacles"],
+                container=src.get("container"),
+                extra_points=src.get("extra_points") or (),
+            )
+        if "snapshot" in src:
+            path = self.publisher.publish_file(name, src["snapshot"])
+            spec = {"name": name, "kind": "snapshot", "path": path}
+            if scene is not None:
+                # rebuild-from-scene fallback: if the artifact is corrupt
+                # at load time the worker quarantines it and builds from
+                # geometry instead of crashing
+                self._scene_state[name] = {"scene": scene, "idx": None}
+                spec["scene"] = scene.to_dict()
+                spec["engine"] = self.engine
+            return spec
         if "index" in src:
             idx = src["index"]
             # a pipeline-built index carries its Scene, which is what the
@@ -337,65 +353,22 @@ class ClusterFrontend:
             # cannot take deltas
             if getattr(idx, "scene", None) is not None:
                 self._scene_state[name] = {"scene": idx.scene, "idx": idx}
-            return self.publisher.publish(name, idx)
-        if "snapshot" in src:
-            return self.publisher.publish_snapshot(name, src["snapshot"])
-        if "obstacles" in src:
-            from repro.pipeline import build_index
-            from repro.scene import Scene
-
-            # build through the staged pipeline (process-default stage
-            # cache): publishing N scenes that share geometry — or a
-            # scene the front-end already built — reuses stage artifacts
-            scene = Scene.from_obstacles(
-                src["obstacles"],
-                container=src.get("container"),
-                extra_points=src.get("extra_points") or (),
-            )
-            # incremental=True seeds the separator-subtree cache, so the
-            # first `update` already reuses unaffected subtree solves
-            idx = build_index(scene, engine=self.engine, incremental=True)
+        elif scene is not None:
+            idx = self._build(scene)
             self._scene_state[name] = {"scene": scene, "idx": idx}
-            return self.publisher.publish(name, idx)
-        raise ClusterError(f"scene {name!r}: unrecognized source {sorted(src)}")
+        else:
+            raise ClusterError(f"scene {name!r}: unrecognized source {sorted(src)}")
+        path = self.publisher.publish(name, idx)
+        return {"name": name, "kind": "snapshot", "path": path}
 
-    def _plain_spec(self, name: str, src: dict) -> dict:
-        if "snapshot" in src:
-            spec = {"name": name, "kind": "snapshot", "path": str(src["snapshot"])}
-            if "obstacles" in src:
-                from repro.scene import Scene
+    def _build(self, scene):
+        """Build ``scene`` through the staged pipeline (process-default
+        stage cache: scenes that share geometry reuse stage artifacts);
+        incremental=True seeds the separator-subtree cache, so the first
+        `update` already reuses unaffected subtree solves."""
+        from repro.pipeline import build_index
 
-                # rebuild-from-scene fallback: if the snapshot artifact
-                # is corrupt at load time the worker quarantines it and
-                # builds from geometry instead of crashing
-                scene = Scene.from_obstacles(
-                    src["obstacles"],
-                    container=src.get("container"),
-                    extra_points=src.get("extra_points") or (),
-                )
-                self._scene_state[name] = {"scene": scene, "idx": None}
-                spec["scene"] = scene.to_dict()
-                spec["engine"] = self.engine
-            return spec
-        if "obstacles" in src:
-            from repro.scene import Scene
-
-            scene = Scene.from_obstacles(
-                src["obstacles"],
-                container=src.get("container"),
-                extra_points=src.get("extra_points") or (),
-            )
-            self._scene_state[name] = {"scene": scene, "idx": None}
-            return {
-                "name": name,
-                "kind": "build",
-                "scene": scene.to_dict(),
-                "engine": self.engine,
-            }
-        raise ClusterError(
-            f"scene {name!r}: a prebuilt index requires use_shm=True "
-            f"(or hand the workers a snapshot path)"
-        )
+        return build_index(scene, engine=self.engine, incremental=True)
 
     def _spawn_worker(self, wid: int) -> _Worker:
         """Fork/spawn one worker process on the shared spec list."""
@@ -1014,12 +987,12 @@ class ClusterFrontend:
 
         Protocol: (1) repair the front-end's index incrementally
         (:func:`repro.pipeline.update_index` — byte-identical to a cold
-        rebuild, reusing unaffected separator-subtree solves); (2)
-        republish into a fresh shm segment (generation+1); (3) broadcast
-        the new spec to every live worker, which swaps resident scenes
-        and lazily re-sources the rest — in-flight batches finish on the
-        pinned old generation; (4) once all live workers acked, unlink
-        the superseded segments.  A worker that dies mid-rollover is
+        rebuild, reusing unaffected separator-subtree solves), or build
+        it for a snapshot-sourced scene; (2) publish it as a new snapshot
+        file (generation+1); (3) broadcast the new spec to every live
+        worker, which swaps resident scenes and lazily re-sources the
+        rest — in-flight batches finish on the pinned old generation;
+        (4) once all live workers acked, unlink the superseded file.  A worker that dies mid-rollover is
         tolerated: its respawn registers from the updated spec list.
         """
         from repro.errors import GeometryError, QueryError
@@ -1042,32 +1015,19 @@ class ClusterFrontend:
                     new_idx = await loop.run_in_executor(
                         None, update_index, state["idx"], delta
                     )
-                    new_scene = new_idx.scene
                     repair = new_idx.provenance.get("repair")
                 else:
-                    # unshared deployment: the front-end holds no index;
-                    # validate the delta here, workers rebuild from the
-                    # new scene dict (their stage caches soften the cost)
-                    new_idx = None
-                    new_scene = await loop.run_in_executor(
-                        None, state["scene"].apply_delta, delta
-                    )
+                    # a snapshot-sourced scene: the front-end holds no
+                    # index to repair, so it builds the new generation
+                    new_scene = state["scene"].apply_delta(delta)
+                    new_idx = await loop.run_in_executor(None, self._build, new_scene)
                     repair = None
-                if self.use_shm:
-                    assert self.publisher is not None
-                    manifest = await loop.run_in_executor(
-                        None, self.publisher.republish, name, new_idx
-                    )
-                    spec = {"name": name, "kind": "shm", "manifest": manifest}
-                    generation = int(manifest["generation"])
-                else:
-                    spec = {
-                        "name": name,
-                        "kind": "build",
-                        "scene": new_scene.to_dict(),
-                        "engine": self.engine,
-                    }
-                    generation = self._generations.get(name, 0) + 1
+                new_scene = new_idx.scene
+                path = await loop.run_in_executor(
+                    None, self.publisher.republish, name, new_idx
+                )
+                spec = {"name": name, "kind": "snapshot", "path": path}
+                generation = self._generations.get(name, 0) + 1
             except (GeometryError, QueryError, ClusterError) as exc:
                 self._m_update_errors.inc(scene=name)
                 finish(root, ok=False, error=str(exc)[:160])
@@ -1081,13 +1041,12 @@ class ClusterFrontend:
                     break
             acked, skipped, failures = await self._broadcast_update(spec)
             state["scene"] = new_scene
-            if new_idx is not None:
-                state["idx"] = new_idx
+            state["idx"] = new_idx
             self._generations[name] = generation
-            if self.use_shm and not failures:
-                # every live worker acked the new manifest; the old
-                # segments can go (attached mappings stay valid past the
-                # unlink, so stragglers draining pinned readers are safe)
+            if not failures:
+                # every live worker acked the new file; the old one can
+                # go (mappings stay valid past the unlink, so stragglers
+                # draining pinned readers are safe)
                 self.publisher.release_retired(name)
             wall = time.perf_counter() - t0
             self._m_updates.inc(scene=name)
@@ -1280,7 +1239,7 @@ class ClusterFrontend:
         base = self.registry.snapshot()
         process = default_registry()
         if process is not self.registry:
-            # shm scene builds run in *this* process and profile into the
+            # scene builds run in *this* process and profile into the
             # process-default registry (repro.pipeline.*); fold them into
             # the scrape without letting them shadow front-end families
             for fam, data in process.snapshot().items():
@@ -1332,7 +1291,7 @@ class ClusterFrontend:
 
     # -- shutdown -------------------------------------------------------
     async def stop(self) -> None:
-        """Stop accepting, drain workers, unlink shared memory (idempotent)."""
+        """Stop accepting, drain workers, remove published files (idempotent)."""
         self._closing = True
         self._stopped.set()
         for task in list(self._restart_tasks):

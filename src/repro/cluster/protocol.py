@@ -47,8 +47,8 @@ all three honor ``deadline_ms`` and ``trace`` like any scene op.
 The ``update`` verb is the cluster's only mutation path.  The delta is
 the JSON form of :class:`repro.scene.SceneDelta`; the front-end repairs
 its index incrementally (byte-identical to a cold rebuild of the edited
-scene), republishes the scene's shared-memory segment under generation
-N+1, and broadcasts the new manifest to every worker.  In-flight batches
+scene), publishes generation N+1 as a new snapshot file, and broadcasts
+its path to every worker.  In-flight batches
 finish on the *pinned* old generation; requests admitted after the
 ``update`` response returns ``ok`` are answered from the new one — the
 response is the linearization point.  The result carries the new

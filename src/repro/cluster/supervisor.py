@@ -9,7 +9,7 @@ front-end calls it at three points and obeys its answers:
 * :meth:`allow_restart` before attempting a respawn — ``False`` once a
   slot has crashed more than ``max_restarts`` times inside ``window_s``
   (the *crash-loop circuit breaker*: a scene that segfaults its worker
-  on every attach must not burn CPU respawning forever; the slot stays
+  on every load must not burn CPU respawning forever; the slot stays
   down and its scenes fail over to the survivors);
 * :meth:`next_backoff` for the pre-respawn sleep — exponential in the
   slot's consecutive-failure count, capped, with multiplicative jitter

@@ -1,10 +1,10 @@
 """The cluster worker: one process, one shard of scenes, one QueryServer.
 
 A worker is deliberately thin: it wraps the *existing* serving stack —
-a :class:`~repro.serve.store.SceneStore` whose resident scenes attach
-from shared memory (or load snapshots / build, for unshared deployments)
-under a :class:`~repro.serve.server.QueryServer` — behind a blocking
-request loop on a ``multiprocessing`` pipe.  The front-end sends one
+a :class:`~repro.serve.store.SceneStore` whose scenes load from the
+snapshot files the front-end published (mapped read-only, shared with
+every other worker) under a :class:`~repro.serve.server.QueryServer` —
+behind a blocking request loop on a ``multiprocessing`` pipe.  The front-end sends one
 batch at a time per worker (lockstep), so the loop needs no internal
 concurrency; parallelism comes from running N workers.
 
@@ -21,6 +21,7 @@ it spawns identically under the ``fork`` and ``spawn`` start methods.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from typing import Optional, Sequence
@@ -35,6 +36,7 @@ from repro.obs.registry import (
     default_registry,
 )
 from repro.serve.server import QueryServer, Request
+from repro.serve.snapshot import load as load_snapshot
 from repro.serve.store import SceneStore
 
 
@@ -47,53 +49,30 @@ def _as_point(v) -> tuple:
 
 
 def register_scene(store: SceneStore, spec: dict) -> None:
-    """Register one scene spec: ``{"name", "kind", ...}`` where kind is
-    ``shm`` (manifest), ``snapshot`` (path), or ``build`` (a JSON scene
-    dict under ``"scene"`` — the canonical :mod:`repro.scene` schema, so
-    specs survive pickling under spawn and a malformed scene fails with
-    the same one-line message the CLI prints)."""
+    """Register one scene spec ``{"name", "kind": "snapshot", "path"}``:
+    a snapshot file, loaded through :meth:`SceneStore.add_snapshot` (read-
+    only mapping, checksum check, quarantine).  An optional ``"scene"``
+    (the canonical :mod:`repro.scene` schema, so specs survive pickling
+    under spawn) with ``"engine"`` is the rebuild fallback for a corrupt
+    artifact; it is parsed here, so a malformed scene fails with the same
+    one-line message the CLI prints."""
     name, kind = spec["name"], spec["kind"]
-    if kind == "shm":
-        manifest = spec["manifest"]
-
-        def attach_builder():
-            from repro.serve.shm import attach
-
-            return attach(manifest)
-
-        store.add_builder(name, attach_builder)
-    elif kind == "snapshot":
-        fallback = None
-        if spec.get("scene") is not None:
-            from repro.scene import Scene
-
-            scene = Scene.from_dict(spec["scene"])
-
-            def fallback():
-                from repro.pipeline import build_index
-
-                return build_index(
-                    scene,
-                    engine=spec.get("engine", "parallel"),
-                    cache=store.stage_cache,
-                )
-
-        store.add_snapshot(name, spec["path"], fallback=fallback)
-    elif kind == "build":
+    if kind != "snapshot":
+        raise ReproError(f"unknown scene spec kind {kind!r}")
+    fallback = None
+    if spec.get("scene") is not None:
         from repro.scene import Scene
 
         scene = Scene.from_dict(spec["scene"])
 
-        def build_builder():
+        def fallback():
             from repro.pipeline import build_index
 
             return build_index(
                 scene, engine=spec.get("engine", "parallel"), cache=store.stage_cache
             )
 
-        store.add_builder(name, build_builder)
-    else:
-        raise ReproError(f"unknown scene spec kind {kind!r}")
+    store.add_snapshot(name, spec["path"], fallback=fallback)
 
 
 def memory_info() -> dict:
@@ -349,53 +328,23 @@ class _WorkerState:
     def _apply_update(self, spec: dict) -> dict:
         """Roll scene ``spec["name"]`` to its next generation.
 
-        The rollover protocol's worker half: the front-end republished
-        the scene (a new shm segment, or a new scene dict to build from)
-        and broadcasts the new spec to every worker.  A worker holding
-        the scene *resident* attaches/builds the new generation eagerly
-        and :meth:`SceneStore.swap`\\ s it in — in-flight readers finish
-        on the pinned old index, every later request sees the new one.
-        A worker that does not have the scene resident only replaces the
-        source (:meth:`SceneStore.replace_source`) and attaches lazily
-        if routing ever sends it a request — acknowledging a rollover
-        for a scene you don't serve costs O(1).
+        The rollover protocol's worker half: the front-end published the
+        new generation as a snapshot file and broadcasts its spec to every
+        worker.  A worker holding the scene *resident* loads the new file
+        eagerly and :meth:`SceneStore.swap`\\ s it in — in-flight readers
+        finish on the pinned old index, every later request sees the new
+        one.  A worker that does not have the scene resident only replaces
+        the source (:meth:`SceneStore.replace_source`) and loads lazily if
+        routing ever sends it a request — acknowledging a rollover for a
+        scene you don't serve costs O(1).
         """
         name, kind = spec["name"], spec["kind"]
-        if kind == "shm":
-            manifest = spec["manifest"]
-
-            def builder():
-                from repro.serve.shm import attach
-
-                return attach(manifest)
-
-        elif kind in ("build", "snapshot") and spec.get("scene") is not None:
-            from repro.scene import Scene
-
-            scene = Scene.from_dict(spec["scene"])
-
-            def builder():
-                from repro.pipeline import build_index
-
-                return build_index(
-                    scene,
-                    engine=spec.get("engine", "parallel"),
-                    cache=self.store.stage_cache,
-                )
-
-        else:
+        if kind != "snapshot":
             raise ReproError(f"cannot roll scene {name!r} from spec kind {kind!r}")
+        builder = functools.partial(load_snapshot, spec["path"])
         resident = name in self.store.resident()
         if resident:
-            old_idx = self.store.get(name)
             gen = self.store.swap(name, builder(), source=builder)
-            # the superseded attachment: close the mapping once no
-            # retired pins reference it (best effort; with live views
-            # close() is a no-op and process exit reclaims the mapping)
-            handle = getattr(old_idx, "shm_handle", None)
-            if handle is not None and not self.store.leaked_pins():
-                del old_idx
-                handle.close()
         else:
             gen = self.store.replace_source(name, builder)
         self.updates += 1
@@ -433,14 +382,6 @@ class _WorkerState:
             "server": self.server.stats(),
             "memory": memory_info(),
         }
-
-    def close(self) -> None:
-        """Detach shm-backed scenes (best effort; process exit finishes)."""
-        for name in list(self.store.resident()):
-            entry_idx = self.store.get(name)
-            handle = getattr(entry_idx, "shm_handle", None)
-            if handle is not None:
-                handle.close()
 
 
 def worker_main(
@@ -496,7 +437,6 @@ def worker_main(
                      "error": f"unknown worker op {op!r}"}
                 )
     finally:
-        state.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover - already closed

@@ -15,12 +15,11 @@ module adds what real cores need:
   worker it blocks for the earliest one.  Arrival order changes when the
   parent computes, never what.
 * **Persistent workers** (:func:`get_pool`) outlive builds; handlers are
-  ``"module:function"`` names resolved in the worker.  Results of at
-  least :data:`SHM_MIN_BYTES` return through ``rsp-`` shared-memory
-  segments (the :func:`repro.serve.shm.build_toc` layout), smaller ones
-  through the result pipe.
+  ``"module:function"`` names resolved in the worker.  Every result,
+  matrix included, comes back pickled through the one result queue:
+  nothing but the queues outlives a task, under ``fork`` or ``spawn``.
 * **Crash containment.**  A worker death with tasks outstanding tears the
-  pool down (survivors terminated, segments unlinked) and raises one
+  pool down (survivors terminated) and raises one
   :class:`~repro.errors.EngineError` line; the next build gets a fresh
   pool.
 
@@ -36,14 +35,13 @@ import importlib
 import itertools
 import multiprocessing as mp
 import os
-from multiprocessing import shared_memory
 import queue as _queue
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from types import GeneratorType
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -51,12 +49,9 @@ from repro.core.allpairs import Fork, InlineExecutor, ParallelEngine, minplus_bl
 from repro.errors import EngineError
 from repro.obs.registry import default_registry
 from repro.pram.machine import PRAM
-from repro.serve.shm import (
-    _attach_untracked, _segment_name, build_toc, read_array_block, write_array_block,
-)
 
-__all__ = ["PoolExecutor", "WorkerPool", "SHM_MIN_BYTES", "get_pool",
-           "shutdown_pool", "default_jobs", "pool_stats"]
+__all__ = ["PoolExecutor", "WorkerPool", "get_pool", "shutdown_pool",
+           "default_jobs", "pool_stats"]
 
 #: ship whole subtrees once the recursion has about this many nodes per
 #: worker on its frontier (cache-less builds only)
@@ -65,10 +60,6 @@ TASKS_PER_WORKER = 4
 #: dispatch a conquer column block to the pool only above this many
 #: fused multiply-min element operations (below it the hop costs more)
 MIN_REMOTE_CONQUER_OPS = 1 << 18
-
-#: result payloads at or above this many bytes travel via shared memory;
-#: smaller ones are cheaper to pickle through the result pipe
-SHM_MIN_BYTES = 64 * 1024
 
 #: how often the result loop wakes to check worker liveness (seconds)
 _POLL_S = 0.1
@@ -108,15 +99,6 @@ def _worker_main(task_q, result_q) -> None:
                 os._exit(int(task.get("code", 3)))
             t0 = time.perf_counter()
             result, arrays = _resolve(task["fn"])(task["payload"])
-            seg_spec = task.get("seg")
-            if seg_spec is not None:
-                seg_name, toc = seg_spec
-                shm = _attach_untracked(seg_name)
-                try:
-                    write_array_block(shm.buf, toc, arrays)
-                finally:
-                    shm.close()
-                arrays = None
             wall = time.perf_counter() - t0
             result_q.put(("ok", tid, wall, result, arrays))
         except BaseException as exc:  # noqa: BLE001 - must reach the parent
@@ -135,7 +117,6 @@ class WorkerPool:
         self._tasks = self._ctx.SimpleQueue()
         self._results = self._ctx.Queue()
         self._lock = threading.RLock()
-        self._segments: Dict[int, tuple] = {}  # task id -> (SharedMemory, toc)
         self._outstanding: set = set()  # task ids submitted, not yet returned
         self._kinds: Dict[int, str] = {}  # task id -> kind (for metrics)
         self._workers: list = []
@@ -146,7 +127,8 @@ class WorkerPool:
         self._c_wall = c("repro.build.pool.task_seconds",
                          "worker-side task wall clock", labels=["kind"])
         self._c_bytes = c("repro.build.pool.result_bytes",
-                          "result payload bytes by transport", labels=["transport"])
+                          "result payload bytes by transport (always pipe)",
+                          labels=["transport"])
         self._c_workers = c("repro.build.pool.workers_spawned",
                             "pool worker processes started")
         self._c_crashes = c("repro.build.pool.worker_crashes",
@@ -171,34 +153,13 @@ class WorkerPool:
         return self._lock
 
     # -- submission ------------------------------------------------------
-    def submit(
-        self,
-        fn: str,
-        payload: dict,
-        arrays_spec: Optional[Dict[str, Tuple[tuple, str]]] = None,
-        kind: str = "task",
-    ) -> int:
+    def submit(self, fn: str, payload: dict, kind: str = "task") -> int:
         """Queue one task; returns its id.  ``fn`` is a ``"module:func"``
-        handler returning ``(result_dict, arrays_dict)``.  ``arrays_spec``
-        maps array names to ``(shape, dtype_str)`` the handler will
-        produce; big ones are routed through a pre-created shm segment."""
+        handler returning ``(result_dict, arrays_dict)``."""
         if self.closed:
             raise EngineError("build pool is closed")
         tid = next(_task_ids)
-        seg_spec = None
-        if arrays_spec:
-            # zero-stride stand-ins: the layout needs shapes, not data
-            toc, size = build_toc({
-                name: np.broadcast_to(np.zeros((), dt), shape)
-                for name, (shape, dt) in arrays_spec.items()
-            })
-            if size >= SHM_MIN_BYTES:
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(size, 1), name=_segment_name()
-                )
-                self._segments[tid] = (shm, toc)
-                seg_spec = (shm.name, toc)
-        task = {"id": tid, "kind": kind, "fn": fn, "payload": payload, "seg": seg_spec}
+        task = {"id": tid, "kind": kind, "fn": fn, "payload": payload}
         self._outstanding.add(tid)
         self._kinds[tid] = kind
         try:
@@ -206,18 +167,16 @@ class WorkerPool:
         except BaseException:
             self._outstanding.discard(tid)
             self._kinds.pop(tid, None)
-            self._drop_segment(tid)
             raise
         self._c_tasks.inc(kind=kind)
         return tid
 
     # -- collection ------------------------------------------------------
-    def next_result(self) -> Tuple[int, float, dict, Optional[dict]]:
+    def next_result(self) -> tuple:
         """Block until one outstanding task completes; returns
-        ``(task_id, worker_wall_s, result, arrays)``.  Arrays that came
-        via shm are copied out and the segment unlinked immediately.
-        Raises :class:`EngineError` (after tearing the pool down) on a
-        task exception or a worker death."""
+        ``(task_id, worker_wall_s, result, arrays)``.  Raises
+        :class:`EngineError` (after tearing the pool down) on a task
+        exception or a worker death."""
         if not self._outstanding:
             raise EngineError("next_result() with no outstanding pool tasks")
         while True:
@@ -228,25 +187,14 @@ class WorkerPool:
                 continue
             status, tid, wall, body = msg[0], msg[1], msg[2], msg[3]
             if tid not in self._outstanding:
-                # stale result from an abandoned build; drop its segment
-                self._drop_segment(tid)
-                continue
+                continue  # stale result from an abandoned build
             self._outstanding.discard(tid)
             if status == "error":
                 self.fail(f"build task failed in worker: {body}")
-            arrays, transport = msg[4], "pipe"
-            seg = self._segments.get(tid)
-            if seg is not None:
-                try:
-                    views = read_array_block(seg[0].buf, seg[1])
-                    arrays = {name: np.array(v) for name, v in views.items()}
-                    del views
-                finally:
-                    self._drop_segment(tid)
-                transport = "shm"
+            arrays = msg[4]
             if arrays:
                 self._c_bytes.inc(
-                    sum(a.nbytes for a in arrays.values()), transport=transport
+                    sum(a.nbytes for a in arrays.values()), transport="pipe"
                 )
             kind = self._kinds.pop(tid, "task")
             self._c_wall.inc(max(0.0, float(wall)), kind=kind)
@@ -254,11 +202,9 @@ class WorkerPool:
 
     def abandon(self) -> None:
         """Forget all outstanding tasks (a build aborted mid-flight);
-        late results are dropped and their segments unlinked on sight."""
+        late results are dropped on sight."""
         self._outstanding.clear()
         self._kinds.clear()
-        for tid in list(self._segments):
-            self._drop_segment(tid)
 
     def _check_alive(self) -> None:
         dead = [p for p in self._workers if not p.is_alive()]
@@ -279,20 +225,9 @@ class WorkerPool:
         raise EngineError(message)
 
     # -- lifecycle -------------------------------------------------------
-    def _drop_segment(self, tid: int) -> None:
-        seg = self._segments.pop(tid, None)
-        if seg is None:
-            return
-        shm, _ = seg
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
-
     def shutdown(self, force: bool = False) -> None:
-        """Stop all workers (gracefully unless ``force``), unlink every
-        pending segment, close the queues.  Idempotent."""
+        """Stop all workers (gracefully unless ``force``) and close the
+        queues.  Idempotent."""
         if self.closed:
             return
         self.closed = True
@@ -315,8 +250,6 @@ class WorkerPool:
                 proc.join(timeout=5.0)
         self._workers.clear()
         self._outstanding.clear()
-        for tid in list(self._segments):
-            self._drop_segment(tid)
         try:
             self._results.close()
             self._results.join_thread()
@@ -382,7 +315,6 @@ class Task:
 
     fn: str
     payload: dict
-    shape: tuple
     kind: str
     finish: Callable
     span: Optional[dict] = None
@@ -447,7 +379,7 @@ class PoolExecutor(InlineExecutor):
             return (pts, mat), body["aux"]
 
         span = {"n_rects": len(rect_idx), "n_points": len(pts), "depth": depth}
-        return Task("repro.core.pool:_solve_task", payload, (len(pts),) * 2,
+        return Task("repro.core.pool:_solve_task", payload,
                     "leaf" if leaf else "subtree", finish, span)
 
     def block_job(self, engine, a, b, certify):
@@ -462,8 +394,7 @@ class PoolExecutor(InlineExecutor):
                 return out
 
             payload = {"a": a, "b": np.ascontiguousarray(b), "certify": certify}
-            return Task("repro.core.pool:_block_task", payload,
-                        (a.shape[0], b.shape[1]), "conquer", finish)
+            return Task("repro.core.pool:_block_task", payload, "conquer", finish)
 
         return remote
 
@@ -498,9 +429,7 @@ class PoolExecutor(InlineExecutor):
                 push(parent, parent.results)
 
         def submit(fiber, task):
-            tid = self.pool.submit(task.fn, task.payload,
-                                   arrays_spec={"matrix": (task.shape, "<f8")},
-                                   kind=task.kind)
+            tid = self.pool.submit(task.fn, task.payload, kind=task.kind)
             waiting[tid] = (fiber, task)
             self.stats["tasks"] += 1
             self.stats[f"{task.kind}_tasks"] += 1

@@ -53,7 +53,7 @@ class SnapshotError(ReproError):
 
 
 class ClusterError(ReproError):
-    """A cluster component failed: bad wire frame, dead worker, shm attach."""
+    """A cluster component failed: bad wire frame, dead worker, scene publish."""
 
 
 class ObsError(ReproError):

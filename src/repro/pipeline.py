@@ -234,7 +234,7 @@ _DEFAULT_CACHE = StageCache(max_entries=64, max_bytes=32 << 20)
 
 def default_cache() -> StageCache:
     """The process-global stage cache (shared by ``ShortestPathIndex.build``,
-    ``SceneStore``, and shm publishing, so one scene's geometry is
+    ``SceneStore``, and the cluster front-end, so one scene's geometry is
     decomposed once per process no matter how many engines solve it).
     Bounded to 64 entries / 32 MB; give a ``SceneStore`` its own
     :class:`StageCache` (or a disabled one) to control the budget."""

@@ -1,4 +1,4 @@
-"""Serving layer: snapshots, shared memory, a multi-scene store, batching.
+"""Serving layer: snapshots, scene publishing, a multi-scene store, batching.
 
 The build side of this library is the paper's contribution; this package
 is the *online* half an actual deployment needs:
@@ -7,9 +7,10 @@ is the *online* half an actual deployment needs:
   :class:`~repro.core.api.ShortestPathIndex` as one ``.rsp`` artifact
   (format v3: an mmap-friendly raw layout; v1/v2 npz archives still
   load), so the expensive parallel build is paid once per scene;
-* :mod:`repro.serve.shm` — publish a built index into
-  ``multiprocessing.shared_memory`` and reattach zero-copy from worker
-  processes (the memory model behind :mod:`repro.cluster`);
+* :mod:`repro.serve.publish` — write built indexes as snapshot files in
+  a private tmpfs directory that worker processes map read-only, one
+  page-cache copy per matrix (the memory model behind
+  :mod:`repro.cluster`);
 * :mod:`repro.serve.store` — :class:`SceneStore`, a thread-safe registry
   of many named scenes with lazy materialization, build-or-load-once
   locking, pin/unpin read refcounts, and LRU eviction bounded by

@@ -48,9 +48,9 @@ Two container layouts exist:
   carries a table of contents of dtype/shape/offset per array), then the
   raw C-order array payloads at 64-byte-aligned offsets.  The layout is
   mmap-friendly: :func:`load` maps the arrays read-only straight out of
-  the page cache (no decompression, no second copy), and
-  :mod:`repro.serve.shm` copies the same bytes once into shared-memory
-  segments that worker processes attach zero-copy.
+  the page cache (no decompression, no second copy) — which is also how
+  cluster workers share one copy of each matrix
+  (:mod:`repro.serve.publish`).
 * **formats v1/v2 ("npz")** — a NumPy ``.npz`` archive with the same
   members.  Still fully readable (the copy path); still writable via
   ``save(..., layout="npz")`` for compatibility fixtures.
@@ -116,7 +116,9 @@ def _align(n: int, a: int = RAW_ALIGN) -> int:
 
 
 def _matrix_digest(matrix: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+    # hash the buffer in place: every load and every publish runs this,
+    # and a .tobytes() copy would double its memory and time
+    return hashlib.sha256(np.ascontiguousarray(matrix)).hexdigest()
 
 
 def _export_arrays(
@@ -207,8 +209,8 @@ def save(
 
     ``layout="raw"`` (default) writes the mmap-friendly format-v4 file;
     ``layout="npz"`` writes the legacy format-v2 ``.npz`` archive (smaller
-    on disk, but loads through a decompress-and-copy path and cannot back
-    shared-memory serving directly).
+    on disk, but loads through a decompress-and-copy path, so every
+    process that loads it holds a private copy).
     """
     path = pathlib.Path(path)
     arrays, include_query = _export_arrays(idx, include_query, include_links)
@@ -341,9 +343,7 @@ def load_arrays(path: PathLike, mmap: bool = True) -> tuple[dict, dict]:
     """``(header, arrays)`` of any supported snapshot, layout-agnostic.
 
     Missing optional members are normalized: ``qs_parents`` maps to
-    ``None``, pre-polygon (v1) artifacts get empty polygon members.  This
-    is the entry point :mod:`repro.serve.shm` uses to publish a snapshot's
-    bytes into shared memory without building an index first.
+    ``None``, pre-polygon (v1) artifacts get empty polygon members.
     """
     if _is_raw(path):
         header, base = _read_raw_header(path)
@@ -375,10 +375,9 @@ def load_arrays(path: PathLike, mmap: bool = True) -> tuple[dict, dict]:
 def reconstruct(header: dict, arrays: dict, label: str = "<arrays>") -> ShortestPathIndex:
     """Rebuild a queryable index from snapshot-shaped ``arrays``.
 
-    Shared by :func:`load` and :func:`repro.serve.shm.attach` — the only
-    difference between the two is where the bytes live (a file mapping vs
-    a shared-memory segment); everything rebuilt here (``Rect`` objects,
-    polygon seams, ray shooters) is small.
+    Everything rebuilt here (``Rect`` objects, polygon seams, ray
+    shooters) is small; the matrix stays wherever ``arrays`` holds it
+    (for :func:`load`, a read-only file mapping).
     """
     try:
         index = DistanceIndex.from_arrays(arrays["points"], arrays["matrix"])
@@ -428,17 +427,15 @@ def reconstruct(header: dict, arrays: dict, label: str = "<arrays>") -> Shortest
     idx.provenance = header.get("provenance")
     idx._link_matrix = link_matrix
     # capability gate: a header that names its verbs is believed; one
-    # that predates the "verbs" key but carries a format version is a
-    # pre-v4 artifact and narrows to the legacy verb set; a header with
-    # neither (the shm-attach path: arrays from a live publisher, not an
-    # old file) advertises everything this build can answer.
+    # that predates the "verbs" key is a pre-v4 artifact and narrows to
+    # the legacy verb set
     verbs = header.get("verbs")
     if verbs is not None:
         idx.capabilities = tuple(str(v) for v in verbs)
-    elif "version" in header:
+    else:
         idx.capabilities = LEGACY_VERBS
         idx.capability_note = (
-            f"snapshot format v{header['version']} predates link queries; "
+            f"snapshot format v{header.get('version')} predates link queries; "
             f"re-snapshot the scene to enable them"
         )
     return idx

@@ -18,12 +18,15 @@ evicted scene is not an error — the next ``get`` simply re-materializes it
 from __future__ import annotations
 
 import contextlib
+import mmap
 import pathlib
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.core.api import Engine, ShortestPathIndex
 from repro.errors import QueryError, SnapshotError
@@ -39,20 +42,30 @@ def resident_bytes(idx: ShortestPathIndex) -> int:
     """Estimated resident footprint of one materialized index.
 
     The n×n matrix dominates; points, rects, and any persisted §6.4
-    forests are accounted with flat per-element costs.  A shared-memory
-    attached index (:mod:`repro.serve.shm`) charges only its small
-    private structures — its matrix is one shared mapping, not a private
-    copy, which is what lets a worker keep many scenes resident under a
-    byte bound sized for private memory.
+    forests are accounted with flat per-element costs.  An index whose
+    matrix is mapped from a snapshot file (:func:`repro.serve.snapshot.load`)
+    charges only its small private structures — its matrix is page cache
+    shared with every process mapping the file, not a private copy, which
+    is what lets a worker keep many scenes resident under a byte bound
+    sized for private memory.
     """
     n = len(idx.index)
     small = 16 * n + 32 * len(idx.rects)
-    if getattr(idx, "shm_handle", None) is not None:
+    if _file_mapped(idx.index.matrix):
         return small
     total = idx.index.matrix.nbytes + small
     if idx._query_parents is not None:
         total += idx._query_parents.nbytes
     return total
+
+
+def _file_mapped(arr) -> bool:
+    """Whether ``arr`` is a view of a file mapping (an ``np.memmap``)."""
+    while arr is not None:
+        if isinstance(arr, (np.memmap, mmap.mmap)):
+            return True
+        arr = getattr(arr, "base", None)
+    return False
 
 
 @dataclass
@@ -102,8 +115,8 @@ class SceneStore:
     ) -> None:
         self.max_bytes = max_bytes
         #: the repro.pipeline StageCache scene builds go through (None →
-        #: the process default, so a scene published to shm by the
-        #: front-end and rebuilt here reuses its geometry artifacts)
+        #: the process default, so a scene the front-end built and a
+        #: worker rebuilds from its fallback reuse geometry artifacts)
         self.stage_cache = stage_cache
         self._entries: Dict[str, _Entry] = {}
         self._lru: "OrderedDict[str, None]" = OrderedDict()
@@ -277,7 +290,7 @@ class SceneStore:
         :meth:`unpin`.  This is what lets a ``QueryServer`` batch read a
         scene's matrix while an unrelated insert squeezes the byte budget
         — eviction of a pinned scene mid-gather would free (or, for a
-        shm-attached scene, detach) memory the reader is still touching.
+        file-mapped scene, unmap) memory the reader is still touching.
 
         Bounded: after :data:`PIN_ATTEMPTS` evict-between-get-and-pin
         races it raises ``QueryError`` instead of spinning.
@@ -397,8 +410,8 @@ class SceneStore:
 
         Nothing is built here — the next ``get`` materializes the new
         source — which is what lets a cluster worker that does not have
-        a scene resident acknowledge a rollover in O(1) and attach the
-        new shared segment only if routing ever sends it a request.
+        a scene resident acknowledge a rollover in O(1) and load the
+        new snapshot file only if routing ever sends it a request.
         Readers pinned to the current index keep it (retired, as in
         :meth:`swap`); an unpinned resident index is dropped immediately.
         An unknown name is registered on the fly.

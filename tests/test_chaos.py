@@ -22,18 +22,18 @@ from repro.cluster.protocol import read_frame, write_frame
 from repro.cluster.supervisor import RestartPolicy, Supervisor
 from repro.core.api import ShortestPathIndex
 from repro.errors import ClusterError, SnapshotError
-from repro.serve import shm as rshm
+from repro.serve.publish import list_published
 from repro.serve import snapshot
 from repro.serve.store import SceneStore
 from repro.workloads.generators import random_disjoint_rects
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = set(rshm.list_segments())
+def no_leaked_publishers():
+    before = set(list_published())
     yield
-    leaked = set(rshm.list_segments()) - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    leaked = set(list_published()) - before
+    assert not leaked, f"leaked publisher directories: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="module")
@@ -384,9 +384,9 @@ class TestQuarantine:
         assert store.stats()["quarantined"] == 1
 
     def test_worker_survives_corrupt_snapshot(self, tmp_path, scene_data):
-        # cluster-level: plain (non-shm) snapshot spec with geometry
-        # attached; corrupt the artifact after spawn but before first
-        # use — the worker must quarantine + rebuild, never crash
+        # cluster-level: a snapshot source with geometry attached;
+        # corrupt the artifact after spawn but before first use — the
+        # worker must quarantine + rebuild, never crash
         async def run():
             rects, idx = scene_data["a"]
             path = snapshot.save(idx, tmp_path / "a.rsp")
@@ -394,7 +394,6 @@ class TestQuarantine:
             async with ClusterFrontend(
                 {"a": {"snapshot": path, "obstacles": rects}},
                 workers=1,
-                use_shm=False,
             ) as fe:
                 _corrupt_matrix(path)  # worker has not loaded it yet
                 (r,) = await _rpc(

@@ -29,17 +29,17 @@ from repro.cluster.protocol import (
 from repro.cluster.worker import _WorkerState, memory_info
 from repro.core.api import ShortestPathIndex
 from repro.errors import ClusterError
-from repro.serve import shm as rshm
+from repro.serve.publish import list_published
 from repro.obs.recorders import BatchHistogram, LatencyRecorder, percentile
 from repro.workloads.generators import random_disjoint_rects
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = set(rshm.list_segments())
+def no_leaked_publishers():
+    before = set(list_published())
     yield
-    leaked = set(rshm.list_segments()) - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    leaked = set(list_published()) - before
+    assert not leaked, f"leaked publisher directories: {sorted(leaked)}"
 
 
 # ----------------------------------------------------------------------
@@ -174,23 +174,19 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-def _build_spec(name, rects, engine="parallel"):
-    from repro.scene import Scene
+def _snapshot_spec(name, idx, directory):
+    from repro.serve.snapshot import save
 
-    return {
-        "name": name,
-        "kind": "build",
-        "scene": Scene.from_obstacles(rects).to_dict(),
-        "engine": engine,
-    }
+    path = save(idx, directory / f"{name}.rsp")
+    return {"name": name, "kind": "snapshot", "path": str(path)}
 
 
 class TestWorkerState:
     @pytest.fixture()
-    def state(self):
+    def state(self, tmp_path):
         rects = random_disjoint_rects(6, seed=1)
-        st = _WorkerState(0, [_build_spec("a", rects)], {})
         idx = ShortestPathIndex.build(rects)
+        st = _WorkerState(0, [_snapshot_spec("a", idx, tmp_path)], {})
         return st, idx
 
     def test_mixed_batch(self, state):
@@ -629,20 +625,33 @@ class TestClusterEndToEnd:
         assert "lengths" in ops and "length" in ops
 
     def test_spawn_start_method(self, scene_data):
+        """Spawned workers load the published files and answer exactly
+        what the in-process indexes answer, rect and polygon scenes."""
+        from repro.workloads.generators import random_polygon_scene
+
+        poly = ShortestPathIndex.build(random_polygon_scene(2, 2, seed=8))
+        pv = poly.vertices()
+        pairs = [(pv[i], pv[-1 - i]) for i in range(0, len(pv), 5)]
+
         async def run():
             rects, idx = scene_data["a"]
             vs = idx.vertices()
             async with ClusterFrontend(
-                {"a": {"obstacles": rects}}, workers=1, start_method="spawn"
+                {"a": {"obstacles": rects}, "p": {"index": poly}},
+                workers=1, start_method="spawn",
             ) as fe:
-                (resp,) = await _rpc(
+                resp, bulk = await _rpc(
                     fe.host,
                     fe.port,
                     {"id": 0, "op": "length", "scene": "a",
                      "p": list(vs[0]), "q": list(vs[-1])},
+                    {"id": 1, "op": "lengths", "scene": "p",
+                     "pairs": [[list(p), list(q)] for p, q in pairs]},
                     timeout=60.0,
                 )
                 assert resp["ok"] and resp["result"] == idx.length(vs[0], vs[-1])
+                want = [float(v) for v in poly.lengths(pairs)]
+                assert bulk["ok"] and bulk["result"] == want
         asyncio.run(run())
 
     def test_prebuilt_index_source(self, scene_data):
@@ -659,14 +668,25 @@ class TestClusterEndToEnd:
                 assert resp["result"] == idx.length(vs[0], vs[-1])
         asyncio.run(run())
 
-    def test_no_shm_mode(self, scene_data):
+    def test_snapshot_source_is_handed_out_as_is(self, scene_data, tmp_path):
+        """An operator's snapshot file goes to the workers unchanged (no
+        copy in the publish directory); with its geometry attached the
+        scene is also describable."""
+        from repro.serve.snapshot import save
+
         async def run():
             rects, idx = scene_data["a"]
             vs = idx.vertices()
+            path = save(idx, tmp_path / "a.rsp")
             async with ClusterFrontend(
-                {"a": {"obstacles": rects}}, workers=1, use_shm=False
+                {"a": {"snapshot": path, "obstacles": rects}}, workers=1
             ) as fe:
-                assert fe.publisher is None
+                assert fe.publisher.path("a") == str(path)
+                assert os.listdir(fe.publisher.dir) == []
+                (desc,) = await _rpc(
+                    fe.host, fe.port, {"id": 1, "op": "describe", "scene": "a"}
+                )
+                assert desc["ok"] and desc["result"]["generation"] == 0
                 (resp,) = await _rpc(
                     fe.host,
                     fe.port,

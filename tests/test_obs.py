@@ -287,16 +287,16 @@ class TestJsonLogger:
 from repro.cluster.frontend import ClusterFrontend  # noqa: E402
 from repro.cluster.loadgen import _rpc  # noqa: E402
 from repro.core.api import ShortestPathIndex  # noqa: E402
-from repro.serve import shm as rshm  # noqa: E402
+from repro.serve.publish import list_published  # noqa: E402
 from repro.workloads.generators import random_disjoint_rects  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = set(rshm.list_segments())
+def no_leaked_publishers():
+    before = set(list_published())
     yield
-    leaked = set(rshm.list_segments()) - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    leaked = set(list_published()) - before
+    assert not leaked, f"leaked publisher directories: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="module")

@@ -546,13 +546,15 @@ class TestSceneLayer:
         bad = {"rects": [[0, 0, "x", 10]]}
         with pytest.raises(GeometryError) as api_exc:
             Scene.from_dict(bad)
-        # cluster worker specs go through the same parser
+        # a cluster worker's rebuild fallback goes through the same parser
         from repro.cluster.worker import register_scene
         from repro.serve.store import SceneStore
 
         with pytest.raises(GeometryError) as worker_exc:
             register_scene(
-                SceneStore(), {"name": "a", "kind": "build", "scene": bad}
+                SceneStore(),
+                {"name": "a", "kind": "snapshot", "path": str(tmp_path / "a.rsp"),
+                 "scene": bad},
             )
         assert str(worker_exc.value) == str(api_exc.value)
         # and the CLI prints the same message behind its one-line prefix
@@ -605,13 +607,18 @@ class TestConsumersBuildThroughPipeline:
             a.index.submatrix(a.index.points), b.index.submatrix(a.index.points)
         )
 
-    def test_worker_build_spec_round_trips_scene_schema(self):
+    def test_worker_build_spec_round_trips_scene_schema(self, tmp_path):
+        """A worker's rebuild fallback (used when its snapshot is corrupt)
+        builds from the spec's scene dict with the spec's engine."""
         from repro.cluster.worker import _WorkerState
 
         rects = random_disjoint_rects(5, seed=4)
+        corrupt = tmp_path / "a.rsp"
+        corrupt.write_bytes(b"not a snapshot")
         spec = {
             "name": "a",
-            "kind": "build",
+            "kind": "snapshot",
+            "path": str(corrupt),
             "scene": Scene.from_obstacles(rects).to_dict(),
             "engine": "sequential",
         }
@@ -619,6 +626,7 @@ class TestConsumersBuildThroughPipeline:
         idx = state.store.get("a")
         assert idx.engine == "sequential"
         assert idx.provenance["engine"] == "sequential"
+        assert state.store.stats()["quarantined_scenes"] == ["a"]
 
     def test_cli_plan_json(self, tmp_path, capsys):
         scene = tmp_path / "scene.json"

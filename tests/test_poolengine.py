@@ -7,7 +7,7 @@ process ``parallel`` engine, identical simulated PRAM totals, identical
 recursion statistics, and subtree-cache deposits a later incremental
 repair can reuse interchangeably.  The pool itself must fail loudly and
 clean (a dead worker is a one-line ``EngineError``, never a hang, and
-never a leaked ``/dev/shm`` segment or orphaned process).
+never an orphaned process), under ``fork`` and ``spawn`` alike.
 """
 
 import os
@@ -30,7 +30,7 @@ from repro.geometry.primitives import Rect
 from repro.pipeline import StageCache, build_index, update_index
 from repro.pram.machine import PRAM
 from repro.scene import Scene, SceneDelta
-from repro.serve.shm import list_segments
+from repro.serve.publish import list_published
 from repro.workloads.generators import random_disjoint_rects, random_polygon_scene
 
 
@@ -40,11 +40,12 @@ def _rect_scene(n, seed):
 
 @pytest.fixture(autouse=True)
 def _pool_hygiene():
-    """Every test starts and ends with no module pool and no segments."""
+    """Every test starts and ends with no module pool and no ``rsp-``
+    publisher directory."""
     shutdown_pool()
     yield
     shutdown_pool()
-    assert list_segments() == []
+    assert list_published() == []
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +182,7 @@ class _ShuffledPool:
     def exclusive(self):
         return self._lock
 
-    def submit(self, fn, payload, arrays_spec=None, kind="task"):
+    def submit(self, fn, payload, kind="task"):
         tid = next(self._ids)
         self._tasks[tid] = (fn, payload)
         return tid
@@ -236,7 +237,7 @@ def test_worker_crash_is_one_line_error_and_clean_shutdown():
     assert "\n" not in msg
     assert "died" in msg
     assert pool.closed
-    assert list_segments() == []
+    assert list_published() == []
     deadline = time.time() + 5
     while time.time() < deadline:
         alive = [pid for pid in pids if _pid_alive(pid)]
@@ -318,34 +319,53 @@ def test_pool_counters_flow_through_registry():
     assert total > 0
 
 
-# ----------------------------------------------------------------------
-# shared-memory transport helpers (reused by serve/ and the pool)
-# ----------------------------------------------------------------------
-def test_shm_block_roundtrip():
-    from multiprocessing import shared_memory
+def test_results_come_back_through_the_pipe():
+    """Every result, matrix included, travels through the result queue;
+    the transport counter books all of it under ``pipe``."""
+    from repro.obs.registry import default_registry
 
-    from repro.serve.shm import build_toc, read_array_block, write_array_block
+    def result_bytes():
+        fam = default_registry().snapshot().get("repro.build.pool.result_bytes")
+        out = {}
+        for series in (fam or {}).get("series", []):
+            out[series["labels"]["transport"]] = series["value"]
+        return out
 
-    arrays = {
-        "a": np.arange(12, dtype=np.float64).reshape(3, 4),
-        "b": np.array([[1, 2], [3, 4]], dtype=np.int64),
-        "c": np.empty((0, 3), dtype=np.float64),
-    }
-    toc, size = build_toc(arrays)
-    seg = shared_memory.SharedMemory(create=True, size=max(size, 1))
+    before = result_bytes()
+    idx = build_index(
+        _rect_scene(40, 7), engine="parallel-mp", jobs=2,
+        cache=StageCache(max_entries=0),
+    )
+    after = result_bytes()
+    assert set(after) == {"pipe"}
+    moved = after["pipe"] - before.get("pipe", 0.0)
+    assert moved >= idx.provenance["pool"]["leaf_tasks"] * 8
+
+
+def test_spawn_pool_byte_identical_and_leaves_no_child():
+    """The pool under ``spawn`` (macOS's default start method) builds
+    exactly what inline ``parallel`` builds — matrix bytes, point order,
+    PRAM totals — and its shutdown leaves no worker behind.  (``spawn``
+    itself starts multiprocessing's per-interpreter resource tracker,
+    which is not a pool process and is not counted.)"""
+    import multiprocessing
+
+    rects = list(random_disjoint_rects(40, seed=7))
+    p1, p2 = PRAM("inline"), PRAM("spawn")
+    i1 = ParallelEngine(rects, [], p1, validate=False).build()
+    pool = WorkerPool(2, start_method="spawn")
     try:
-        write_array_block(seg.buf, toc, arrays)
-        back = read_array_block(seg.buf, toc)
-        for name, arr in arrays.items():
-            assert back[name].dtype == arr.dtype
-            assert back[name].shape == arr.shape
-            assert np.array_equal(back[name], arr)
-        out = {name: np.array(v) for name, v in back.items()}
-        del back
+        executor = PoolExecutor(pool, 2)
+        i2 = ParallelEngine(rects, [], p2, validate=False, executor=executor).build()
+        pids = [p.pid for p in pool._workers]
     finally:
-        seg.close()
-        seg.unlink()
-    assert np.array_equal(out["a"], arrays["a"])
+        pool.shutdown()
+    assert executor.stats["tasks"] > 0
+    assert list(i1.points) == list(i2.points)
+    assert i1.matrix.tobytes() == i2.matrix.tobytes()
+    assert (p1.time, p1.work, p1.max_ops) == (p2.time, p2.work, p2.max_ops)
+    assert not [pid for pid in pids if _pid_alive(pid)]
+    assert multiprocessing.active_children() == []
 
 
 def test_default_jobs_bounded():
@@ -375,12 +395,10 @@ def test_worker_main_inline_roundtrip():
             "ctx": ctx, "rect_idx": list(range(len(rects))), "pts": pts,
             "depth": 0, "tags": {}, "next_chain_id": 0,
         },
-        "seg": None,
     })
     tasks.put({
         "id": 2, "kind": "task", "fn": "repro.core.pool:_resolve",
         "payload": {},  # _resolve() called with a dict explodes → error path
-        "seg": None,
     })
     tasks.put(None)
     _worker_main(tasks, results)

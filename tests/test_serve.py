@@ -504,6 +504,30 @@ class TestSnapshotFormatV3:
                 free[i], free[i + 1]
             )
 
+    def test_matrix_digest_hashes_the_buffer_in_place(self, tmp_path):
+        """Every load and every publish checksums the matrix; the digest
+        must hash it in place, not allocate a copy of it."""
+        import hashlib
+        import tracemalloc
+
+        from repro.serve.snapshot import _matrix_digest
+
+        m = np.arange(512 * 512, dtype=np.float64).reshape(512, 512)
+        want = hashlib.sha256(m.tobytes()).hexdigest()
+        tracemalloc.start()
+        try:
+            got = _matrix_digest(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < m.nbytes // 16
+        # the same digest through a read-only file mapping
+        path = tmp_path / "m.bin"
+        m.tofile(path)
+        mapped = np.memmap(path, mode="r", dtype=np.float64, shape=m.shape)
+        assert _matrix_digest(mapped) == want
+
 
 class TestExportImportHooks:
     def test_distance_index_array_round_trip(self):

@@ -276,35 +276,38 @@ class TestQuarantine:
         assert not p.exists()
 
 
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="POSIX shared memory unavailable"
-)
 class TestShmRollover:
     def test_republish_bumps_generation_and_retires_old(self):
-        from repro.serve.shm import ShmPublisher, attach
+        """A rollover writes the next generation to a new file; the old
+        file is unlinked only by release_retired, and a worker mapping
+        taken before the unlink still answers the old generation."""
+        from repro.serve.publish import SnapshotPublisher
+        from repro.serve.snapshot import load
 
         scene = _scene(8, seed=6)
         idx0 = build_index(scene)
         edited = scene.apply_delta(SceneDelta.delete(scene.rects[0]))
         idx1 = build_index(edited)
-        with ShmPublisher() as pub:
-            m0 = pub.publish("s", idx0)
-            assert m0.get("generation", 0) == 0
-            a0 = attach(m0)  # a reader on the old generation
-            m1 = pub.republish("s", idx1)
-            assert m1["generation"] == 1
-            a1 = attach(m1)
+        vs = idx0.vertices()
+        pairs = [(vs[i], vs[-1 - i]) for i in range(0, len(vs), 3)]
+        with SnapshotPublisher() as pub:
+            p0 = pub.publish("s", idx0)
+            a0 = load(p0)  # a reader on the old generation
+            p1 = pub.republish("s", idx1)
+            assert p1 != p0 and pub.path("s") == p1
+            a1 = load(p1)
             assert np.asarray(a1.index.matrix).tobytes() == np.asarray(
                 idx1.index.matrix
             ).tobytes()
-            # old mapping stays readable until released (POSIX unlink
-            # semantics keep attached segments valid)
+            assert os.path.exists(p0)  # retired, not yet released
+            assert pub.release_retired("s") == 1
+            assert not os.path.exists(p0) and os.path.exists(p1)
+            assert pub.release_retired("s") == 0
+            # the mapping outlives the unlink (POSIX semantics)
             assert np.asarray(a0.index.matrix).tobytes() == np.asarray(
                 idx0.index.matrix
             ).tobytes()
-            released = pub.release_retired("s")
-            assert released >= 1
-            assert pub.release_retired("s") == 0
+            assert a0.lengths(pairs).tobytes() == idx0.lengths(pairs).tobytes()
 
 
 async def _rpc(host, port, *msgs, timeout=60.0):
