@@ -46,6 +46,7 @@ import json
 import pathlib
 import sys
 import time
+from array import array
 from typing import Optional, Sequence
 
 from repro import ShortestPathIndex
@@ -243,11 +244,11 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         pathlib.Path(args.record).write_text(json.dumps(payload))
         print(f"recorded {len(reqs)} requests to {args.record}")
     server = QueryServer(store)
+    from repro.cluster.loadgen import format_latency, latency_summary
     from repro.errors import QueryError
-    from repro.obs.recorders import LatencyRecorder, format_latency
 
-    per_lat = LatencyRecorder()
-    batch_lat = LatencyRecorder()
+    per_lat = array("d")
+    batch_lat = array("d")
     try:
         # untimed warm pass: lazy §6.4/§8 structures are built here so
         # neither timed phase pays one-time construction costs
@@ -256,13 +257,13 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         for r in reqs:
             t1 = time.perf_counter()
             server.submit([r])
-            per_lat.record(time.perf_counter() - t1)
+            per_lat.append(time.perf_counter() - t1)
         per_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         for k in range(0, len(reqs), args.batch):
             t1 = time.perf_counter()
             server.submit(reqs[k : k + args.batch])
-            batch_lat.record(time.perf_counter() - t1)
+            batch_lat.append(time.perf_counter() - t1)
         co_s = time.perf_counter() - t0
     except QueryError as exc:  # e.g. a workload naming an unknown scene
         raise SystemExit(str(exc))
@@ -272,10 +273,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         f"batch size {args.batch}"
     )
     print(f"per-request: {per_s:.3f}s  ({n / per_s:,.0f} req/s)  "
-          f"[{format_latency(per_lat.summary())}]")
+          f"[{format_latency(latency_summary(per_lat))}]")
     print(f"coalesced:   {co_s:.3f}s  ({n / co_s:,.0f} req/s)  "
           f"speedup {per_s / co_s:.1f}x  "
-          f"[per-batch {format_latency(batch_lat.summary())}]")
+          f"[per-batch {format_latency(latency_summary(batch_lat))}]")
     stats = server.stats()
     print(f"batch-size histogram: {stats['batch_size_hist']}")
     print(f"store: {store.stats()}")
@@ -400,7 +401,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
     from repro.cluster import loadgen
     from repro.errors import ClusterError
-    from repro.obs.recorders import format_latency
 
     mode = "open" if args.open else "closed"
     try:
@@ -439,12 +439,12 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             f"{summary['deadline_expired']} deadline-expired "
             f"in {summary['elapsed_s']:.3f}s ({summary['qps']:,.0f} req/s)"
         )
-        print(f"latency: {format_latency(summary['latency'])}")
+        print(f"latency: {loadgen.format_latency(summary['latency'])}")
         for verb, vb in (summary.get("verbs") or {}).items():
             print(
                 f"  {verb}: {vb['sent']} sent, {vb['ok']} ok, "
                 f"{vb['errors']} errors, {vb['shed']} shed; "
-                f"{format_latency(vb['latency'])}"
+                f"{loadgen.format_latency(vb['latency'])}"
             )
         split = report.split_line()
         if split:
@@ -487,6 +487,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     async def fetch() -> dict:
         from repro.cluster.loadgen import _rpc
+        from repro.cluster.protocol import close_writer
 
         reader, writer = await asyncio.open_connection(args.host, args.port)
         try:
@@ -495,11 +496,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 msg["trace_id"] = args.trace_id
             resp = await _rpc(reader, writer, msg)
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_writer(writer)
         if not resp.get("ok"):
             raise ClusterError(f"trace verb failed: {resp.get('error')}")
         return resp["result"]
@@ -541,6 +538,7 @@ async def _trace_demo(limit: int) -> dict:
 
     from repro.cluster.frontend import ClusterFrontend
     from repro.cluster.loadgen import _rpc
+    from repro.cluster.protocol import close_writer
     from repro.errors import ClusterError
     from repro.pipeline import BUILD_SPANS
     from repro.workloads.generators import random_disjoint_rects
@@ -568,11 +566,7 @@ async def _trace_demo(limit: int) -> dict:
                 if not resp.get("ok"):
                     raise ClusterError(f"demo request failed: {resp.get('error')}")
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_writer(writer)
         spans = BUILD_SPANS.snapshot() + frontend.span_buffer.snapshot(limit=limit)
         return {"spans": spans, "dropped": frontend.span_buffer.dropped}
     finally:

@@ -29,6 +29,13 @@ Data path::
   ``supervise=True`` (default) the slot is respawned under the
   :class:`~repro.cluster.supervisor.Supervisor`'s backoff policy,
   readiness-gated, and transparently rejoins routing.
+* **Metrics** — every counter and distribution lives in the front-end's
+  registry, and ``stats`` is a view of it: per-scene latency is
+  ``repro.frontend.latency_seconds`` summed over ``verb``, the batch
+  table is ``repro.frontend.batch_size`` (percentiles interpolated
+  within buckets).  ``obs=False`` records neither histogram, so those
+  views then report ``count: 0``.  Scene-labeled series past the
+  registry's cap fold into ``scene="other"``.
 * **Lifecycle** — workers are readiness-gated at startup (one full
   batch round trip each before the TCP port binds); the ``health`` and
   ``drain`` verbs expose liveness and connection-draining shutdown.
@@ -56,12 +63,11 @@ from typing import Mapping, Optional, Sequence
 
 from repro.cluster.faults import FaultInjector, FaultPlan
 from repro.cluster.hashing import assignment, hrw_score
-from repro.cluster.protocol import read_frame, write_frame
+from repro.cluster.protocol import close_writer, read_frame, write_frame
 from repro.cluster.supervisor import RestartPolicy, Supervisor
 from repro.cluster.worker import worker_main
 from repro.errors import ClusterError
 from repro.obs.openmetrics import CONTENT_TYPE, merge_snapshots, render_openmetrics
-from repro.obs.recorders import BatchHistogram, LatencyRecorder
 from repro.obs.registry import (
     DEFAULT_MAX_SERIES,
     DEFAULT_SIZE_BUCKETS,
@@ -118,20 +124,18 @@ class _Worker:
         self.queue: asyncio.Queue[_Item] = asyncio.Queue(maxsize=queue_depth)
         self.task: Optional[asyncio.Task] = None
         self.dead = False
-        self.batches = 0
         self.seq = 0
         self.inflight = 0  # requests in the batch currently on the pipe
 
 
 class _SceneMetrics:
-    """Per-scene stats *view*: counters live in the registry (one source
-    of truth for `stats`, `metrics`, and `/metrics`); only the exact
-    percentile reservoir is kept here."""
+    """Per-scene stats *view* over the registry (one source of truth for
+    `stats`, `metrics`, and `/metrics`): counters by scene, latency as
+    ``repro.frontend.latency_seconds`` summed over ``verb``."""
 
     def __init__(self, name: str, frontend: "ClusterFrontend") -> None:
         self._name = name
         self._fe = frontend
-        self.latency = LatencyRecorder()
 
     @property
     def requests(self) -> int:
@@ -155,7 +159,7 @@ class _SceneMetrics:
             "shed": self.shed,
             "errors": self.errors,
             "deadline_expired": self.deadline_expired,
-            "latency": self.latency.summary(),
+            "latency": self._fe._m_latency.summary(scene=self._name),
         }
 
 
@@ -249,44 +253,45 @@ class ClusterFrontend:
         self._m_requests = reg.counter(
             "repro.frontend.requests", "requests admitted, by verb", labels=["verb"]
         )
-        self._m_scene_requests = reg.counter(
-            "repro.frontend.scene_requests", "scene requests served", labels=["scene"]
+
+        def by_scene(name: str, help: str):
+            # scene label values past the series cap fold into "other":
+            # a metric write must never fail the request it describes
+            return reg.counter(name, help, labels=["scene"], overflow="other")
+
+        self._m_scene_requests = by_scene(
+            "repro.frontend.scene_requests", "scene requests served"
         )
-        self._m_shed = reg.counter(
-            "repro.frontend.shed", "requests shed (queue full)", labels=["scene"]
+        self._m_shed = by_scene("repro.frontend.shed", "requests shed (queue full)")
+        self._m_errors = by_scene(
+            "repro.frontend.errors", "scene requests answered not-ok"
         )
-        self._m_errors = reg.counter(
-            "repro.frontend.errors", "scene requests answered not-ok", labels=["scene"]
-        )
-        self._m_deadline = reg.counter(
+        self._m_deadline = by_scene(
             "repro.frontend.deadline_expired",
-            "requests expired in queue past their deadline", labels=["scene"],
+            "requests expired in queue past their deadline",
         )
-        self._m_redirects = reg.counter(
-            "repro.frontend.redirects",
-            "requests re-routed after a worker death", labels=["scene"],
+        self._m_redirects = by_scene(
+            "repro.frontend.redirects", "requests re-routed after a worker death"
         )
         self._m_latency = reg.histogram(
-            "repro.frontend.latency_seconds",
-            "end-to-end request latency", labels=["scene", "verb"],
+            "repro.frontend.latency_seconds", "end-to-end request latency",
+            labels=["scene", "verb"], overflow="other",
         )
         self._m_batch = reg.histogram(
             "repro.frontend.batch_size", "dispatched batch sizes",
             labels=["worker"], buckets=DEFAULT_SIZE_BUCKETS,
         )
-        self._m_updates = reg.counter(
-            "repro.frontend.updates",
-            "scene-generation rollovers published", labels=["scene"],
+        self._m_updates = by_scene(
+            "repro.frontend.updates", "scene-generation rollovers published"
         )
-        self._m_update_errors = reg.counter(
-            "repro.frontend.update_errors",
-            "scene updates rejected or failed", labels=["scene"],
+        self._m_update_errors = by_scene(
+            "repro.frontend.update_errors", "scene updates rejected or failed"
         )
         self._m_generation = reg.gauge(
             "repro.scene.generation",
-            "current published generation of each scene", labels=["scene"],
+            "current published generation of each scene",
+            labels=["scene"], overflow="other",
         )
-        self.batch_hist = BatchHistogram()
         self.scene_metrics: dict[str, _SceneMetrics] = {
             name: _SceneMetrics(name, self) for name in scenes
         }
@@ -511,8 +516,6 @@ class ClusterFrontend:
                     )
                     return
                 worker.inflight = 0
-                worker.batches += 1
-                self.batch_hist.observe(len(batch))
                 if self.obs:
                     self._m_batch.observe(len(batch), worker=str(worker.id))
                 self._trace_rpc(batch, worker, rpc_t0, time.time())
@@ -564,16 +567,8 @@ class ClusterFrontend:
         self._m_scene_requests.inc(scene=item.scene)
         if not res.get("ok"):
             self._m_errors.inc(scene=item.scene)
-        metrics = self.scene_metrics.get(item.scene)
-        if metrics is not None:
-            metrics.latency.record(now - item.t0)
-        if self.obs:
-            verb = item.wire.get("op")
-            self._m_latency.observe(
-                now - item.t0,
-                scene=item.scene,
-                verb=verb if verb in _SCENE_OPS else "other",
-            )
+        if self.obs:  # only _SCENE_OPS carry a scene: the verb set is closed
+            self._m_latency.observe(now - item.t0, scene=item.scene, verb=item.wire["op"])
 
     # -- tracing hooks ---------------------------------------------------
     def _trace_enqueue(self, item: _Item, worker: _Worker) -> None:
@@ -819,11 +814,7 @@ class ClusterFrontend:
         except (ConnectionError, OSError):  # client went away mid-write
             pass
         finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_writer(writer)
 
     def _admit(self, msg: dict):
         """Route one request: an immediate response dict, or (id, future)."""
@@ -1201,7 +1192,7 @@ class ClusterFrontend:
                 "sheds": self.sheds,
                 "deadline_expired": self.deadline_expired,
                 "qps": self.requests / max(time.monotonic() - self._t_start, 1e-9),
-                "batch_size_hist": self.batch_hist.as_dict(),
+                "batch_size_hist": self._m_batch.size_hist(),
                 "generations": dict(self._generations),
                 "scenes": {
                     name: m.summary() for name, m in self.scene_metrics.items()
@@ -1283,11 +1274,7 @@ class ClusterFrontend:
         except (asyncio.TimeoutError, ConnectionError, OSError):
             pass
         finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_writer(writer)
 
     # -- shutdown -------------------------------------------------------
     async def stop(self) -> None:

@@ -16,7 +16,9 @@ The generator discovers scene names and legal endpoints through the
 protocol itself (``scenes`` + ``endpoints`` verbs), so it needs nothing
 but ``host:port`` — the same seeded stream can then be pointed at any
 cluster serving the same scene set.  Reports carry p50/p95/p99 latency,
-throughput, and shed/error counts, never bare means.
+throughput, and shed/error counts, never bare means.  Latencies are
+measured from outside, so they are kept exactly: every sample in an
+``array('d')``, summarized by :func:`latency_summary`.
 
 The closed loop is fault-tolerant on request: with ``retries > 0`` a
 retryable failure (shed, worker-death redirect exhaustion, deadline
@@ -34,11 +36,13 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Optional, Sequence
+from array import array
+from typing import Mapping, Optional, Sequence
 
-from repro.cluster.protocol import read_frame, write_frame
+import numpy as np
+
+from repro.cluster.protocol import close_writer, read_frame, write_frame
 from repro.errors import ClusterError
-from repro.obs.recorders import LatencyRecorder
 
 #: default request mix: (bulk-lengths fraction, arbitrary-point fraction,
 #: path fraction); the remainder are single vertex-pair lengths
@@ -47,6 +51,29 @@ DEFAULT_MIX = (0.5, 0.2, 0.02)
 #: verbs a weighted ``--mix`` spec may name (wire ops plus ``arbitrary``,
 #: which is a ``length`` op with off-vertex endpoints)
 MIX_VERBS = ("length", "lengths", "arbitrary", "path", "minlink", "links", "pareto")
+
+
+def latency_summary(seconds: Sequence[float]) -> dict[str, float]:
+    """``{"count", "mean_ms", "max_ms", "p50_ms", "p95_ms", "p99_ms"}``
+    of exact samples (seconds in, milliseconds out; numpy's linear
+    percentiles; ``nan`` figures for an empty sample)."""
+    ms = np.asarray(seconds, dtype=np.float64) * 1e3
+    if not len(ms):
+        nan = float("nan")
+        return {"count": 0, "mean_ms": nan, "max_ms": 0.0,
+                "p50_ms": nan, "p95_ms": nan, "p99_ms": nan}
+    p50, p95, p99 = np.percentile(ms, (50, 95, 99))
+    return {"count": len(ms), "mean_ms": float(ms.mean()), "max_ms": float(ms.max()),
+            "p50_ms": float(p50), "p95_ms": float(p95), "p99_ms": float(p99)}
+
+
+def format_latency(summary: Mapping[str, float]) -> str:
+    """One human line: ``p50 0.42ms  p95 1.3ms  p99 2.0ms  max 5.1ms``."""
+    return "  ".join(
+        f"{key[:-3]} {summary[key]:.3g}ms"
+        for key in ("p50_ms", "p95_ms", "p99_ms", "max_ms")
+        if key in summary
+    )
 
 
 def parse_mix(spec: str) -> dict[str, float]:
@@ -115,11 +142,7 @@ async def discover(host: str, port: int, *, seed: int = 0, k: int = 48) -> dict:
                 )
             pools[scene] = ep["result"]
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
+        await close_writer(writer)
     if not pools:
         raise ClusterError("cluster serves no scenes")
     return pools
@@ -396,7 +419,7 @@ class Report:
         self.timeouts = 0
         self.deadline_expired = 0
         self.error_classes: dict[str, int] = {}
-        self.latency = LatencyRecorder(capacity=1 << 16)
+        self.latency = array("d")
         self.elapsed_s = 0.0
         self.first_error: Optional[str] = None
         # scene-mutation bookkeeping (--mutate-every)
@@ -409,22 +432,22 @@ class Report:
         # traced-request sample: per-hop breakdowns plus the aggregated
         # queue-wait vs service-time split (where does latency come from?)
         self.traces: list[dict] = []
-        self.queue_wait = LatencyRecorder()
-        self.service = LatencyRecorder()
+        self.queue_wait = array("d")
+        self.service = array("d")
         # per-verb outcome split (wire op → counts + latency); what the
         # --mix flag reports on
         self.by_verb: dict[str, dict] = {}
 
     def record(self, resp: dict, seconds: float, verb: Optional[str] = None) -> None:
-        self.latency.record(seconds)
+        self.latency.append(seconds)
         if verb is not None:
             vb = self.by_verb.setdefault(
                 verb,
                 {"sent": 0, "ok": 0, "errors": 0, "shed": 0,
-                 "latency": LatencyRecorder()},
+                 "latency": array("d")},
             )
             vb["sent"] += 1
-            vb["latency"].record(seconds)
+            vb["latency"].append(seconds)
             if resp.get("ok"):
                 vb["ok"] += 1
             elif resp.get("shed"):
@@ -465,15 +488,15 @@ class Report:
                 "spans": spans,
             }
         )
-        self.queue_wait.record(by_name.get("queue_wait", 0.0))
-        self.service.record(by_name.get("worker.service", 0.0))
+        self.queue_wait.append(by_name.get("queue_wait", 0.0))
+        self.service.append(by_name.get("worker.service", 0.0))
 
     def split_line(self) -> Optional[str]:
         """One line: where traced-request time went (queue vs service)."""
         if not self.traces:
             return None
-        q = self.queue_wait.summary()
-        s = self.service.summary()
+        q = latency_summary(self.queue_wait)
+        s = latency_summary(self.service)
         return (
             f"traced {len(self.traces)}:"
             f"  queue-wait p50 {q['p50_ms']:.3g}ms p95 {q['p95_ms']:.3g}ms "
@@ -496,7 +519,7 @@ class Report:
             "error_classes": dict(sorted(self.error_classes.items())),
             "elapsed_s": self.elapsed_s,
             "qps": qps,
-            "latency": self.latency.summary(),
+            "latency": latency_summary(self.latency),
         }
         if self.by_verb:
             out["verbs"] = {
@@ -505,14 +528,14 @@ class Report:
                     "ok": vb["ok"],
                     "errors": vb["errors"],
                     "shed": vb["shed"],
-                    "latency": vb["latency"].summary(),
+                    "latency": latency_summary(vb["latency"]),
                 }
                 for verb, vb in sorted(self.by_verb.items())
             }
         if self.traces:
             out["trace_sample"] = list(self.traces)
-            out["queue_wait"] = self.queue_wait.summary()
-            out["service"] = self.service.summary()
+            out["queue_wait"] = latency_summary(self.queue_wait)
+            out["service"] = latency_summary(self.service)
         if self.first_error is not None:
             out["first_error"] = self.first_error
         if self.mutations or self.mutation_errors or self.stale_answers:
@@ -568,12 +591,7 @@ async def run_closed(
 
         async def connect() -> None:
             nonlocal reader, writer
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+            await close_writer(writer)
             last: Optional[BaseException] = None
             for i in range(3):
                 try:
@@ -622,12 +640,7 @@ async def run_closed(
                 report.record(resp, time.perf_counter() - t, verb=wire.get("op"))
                 report.sent += 1
         finally:
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):  # pragma: no cover
-                    pass
+            await close_writer(writer)
 
     queries_done = asyncio.Event()
 
@@ -655,12 +668,7 @@ async def run_closed(
                 else:
                     await asyncio.sleep(0.002)
         finally:
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):  # pragma: no cover
-                    pass
+            await close_writer(writer)
 
     tasks = [one_conn(i, c) for i, c in enumerate(chunks)]
     mut_task = None
@@ -733,11 +741,7 @@ async def run_open(
             await asyncio.wait_for(done.wait(), timeout=60.0)
         finally:
             reader_task.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_writer(writer)
 
     await asyncio.gather(*(one_conn(i, c) for i, c in enumerate(chunks)))
     report.elapsed_s = time.perf_counter() - t0
@@ -765,11 +769,7 @@ async def _discover_mutator(
         if not desc.get("ok"):
             raise ClusterError(f"describe {scene!r} failed: {desc.get('error')}")
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
+        await close_writer(writer)
     return SceneMutator(scene, desc["result"]["scene"], check=check, seed=seed)
 
 

@@ -152,6 +152,18 @@ async def write_frame(writer: asyncio.StreamWriter, obj) -> None:
 
 
 # -- synchronous helpers (simple clients, tests, examples) --------------
+async def close_writer(writer: Optional[asyncio.StreamWriter]) -> None:
+    """Close a connection and wait for it; a peer that already went away
+    is not an error."""
+    if writer is None:
+        return
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+
+
 def send_frame(sock: socket.socket, obj) -> None:
     sock.sendall(encode_frame(obj))
 

@@ -15,6 +15,15 @@ request in the batch is individually bad — unknown scene, endpoint
 inside an obstacle — the batch falls back to per-request answering so
 one poisoned request fails alone instead of failing its batchmates.
 
+Everything the worker measures goes into one registry (its process
+default unless a test hands it another).  The ``stats`` verb's
+``service`` and ``batch_size_hist`` are views of the
+``repro.worker.service_seconds`` and ``repro.worker.batch_size``
+histograms, and its ``requests``/``errors``/``updates``/``scenes``
+counts are views of the ``repro.worker.*`` counters.  The embedded
+``QueryServer`` records into the same registry, so ``stats`` and
+``metrics`` read the same samples.
+
 ``worker_main`` is a module-level function with JSON-plain arguments, so
 it spawns identically under the ``fork`` and ``spawn`` start methods.
 """
@@ -28,8 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ObsError, ReproError
-from repro.obs.recorders import BatchHistogram, LatencyRecorder
+from repro.errors import ReproError
 from repro.obs.registry import (
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
@@ -113,21 +121,15 @@ class _WorkerState:
         self.store = SceneStore(max_bytes=options.get("max_bytes"))
         for spec in scene_specs:
             register_scene(self.store, spec)
-        self.server = QueryServer(self.store)
-        self.service = LatencyRecorder()
-        self.batch_hist = BatchHistogram()
-        self.scene_counts: dict[str, int] = {}
-        self.requests = 0
-        self.errors = 0
-        self.updates = 0  # scene-generation rollovers applied
         self.started = time.monotonic()
         # the process registry: what the `metrics` verb snapshots.  In a
         # spawned worker this is the (reset) process default, so pipeline
         # builds running inside this process land in the same snapshot.
         self.registry = registry if registry is not None else default_registry()
+        self.server = QueryServer(self.store, registry=self.registry)
         self._m_requests = self.registry.counter(
             "repro.worker.requests", "requests answered by this worker",
-            labels=["scene"],
+            labels=["scene"], overflow="other",
         )
         self._m_errors = self.registry.counter(
             "repro.worker.errors", "requests answered not-ok by this worker"
@@ -141,7 +143,7 @@ class _WorkerState:
         )
         self._m_updates = self.registry.counter(
             "repro.worker.updates", "scene-generation rollovers applied",
-            labels=["scene"],
+            labels=["scene"], overflow="other",
         )
         self.registry.add_collector(self._collect)
 
@@ -184,24 +186,16 @@ class _WorkerState:
             # alone the worker): retry each alone, catching per-request
             results = [self._answer_one(r) for r in requests]
         dt = time.perf_counter() - t0
-        self.service.record(dt)
         self._m_service.observe(dt)
         if requests:
-            self.batch_hist.observe(len(requests))
             self._m_batch.observe(len(requests))
-        self.requests += len(requests)
         n_err = sum(1 for r in results if not r.get("ok"))
-        self.errors += n_err
         if n_err:
             self._m_errors.inc(n_err)
         for r, res in zip(requests, results):
             scene = r.get("scene")
             if scene:
-                self.scene_counts[scene] = self.scene_counts.get(scene, 0) + 1
-                try:
-                    self._m_requests.inc(scene=str(scene))
-                except ObsError:  # scene count past the cardinality bound
-                    self._m_requests.inc(scene="other")
+                self._m_requests.inc(scene=str(scene))
             if r.get("trace") and isinstance(res, dict):
                 # the front-end folds this into the request's span tree;
                 # wall-clock t0 so it lines up on a shared timeline
@@ -347,11 +341,7 @@ class _WorkerState:
             gen = self.store.swap(name, builder(), source=builder)
         else:
             gen = self.store.replace_source(name, builder)
-        self.updates += 1
-        try:
-            self._m_updates.inc(scene=str(name))
-        except ObsError:  # scene count past the cardinality bound
-            self._m_updates.inc(scene="other")
+        self._m_updates.inc(scene=str(name))
         return {"scene": name, "generation": gen, "resident": resident}
 
     def _endpoints(self, r: dict) -> dict:
@@ -372,12 +362,15 @@ class _WorkerState:
         return {
             "worker": self.worker_id,
             "uptime_s": time.monotonic() - self.started,
-            "requests": self.requests,
-            "errors": self.errors,
-            "updates": self.updates,
-            "service": self.service.summary(),
-            "batch_size_hist": self.batch_hist.as_dict(),
-            "scenes": dict(self.scene_counts),
+            "requests": int(self._m_requests.total()),
+            "errors": int(self._m_errors.total()),
+            "updates": int(self._m_updates.total()),
+            "service": self._m_service.summary(),
+            "batch_size_hist": self._m_batch.size_hist(),
+            "scenes": {
+                s["labels"]["scene"]: int(s["value"])
+                for s in self._m_requests.snapshot()["series"]
+            },
             "store": self.store.stats(),
             "server": self.server.stats(),
             "memory": memory_info(),

@@ -6,16 +6,16 @@ Three legs, one package:
   :class:`MetricsRegistry` of counters, gauges, and fixed-bucket
   histograms under stable dotted names, rendered as OpenMetrics text
   (:mod:`repro.obs.openmetrics`) by the front-end's ``GET /metrics``
-  endpoint and returned raw by the cluster's ``metrics`` verb.
+  endpoint and returned raw by the cluster's ``metrics`` verb.  The
+  ``stats`` verbs' latency percentiles and batch-size tables are read
+  from the same histograms (:meth:`Histogram.summary`,
+  :meth:`Histogram.size_hist`); there is no second distribution type.
 * **Tracing** (:mod:`repro.obs.tracing`): per-request span trees
   (admission → queue wait → worker RPC → service, plus redirect hops)
   in a bounded :class:`SpanBuffer`, dumped as JSON or Chrome
   ``chrome://tracing`` format via ``python -m repro trace``.
 * **Structured logs** (:mod:`repro.obs.logging`): rate-limited
   one-JSON-object-per-line subsystem loggers.
-
-:mod:`repro.obs.recorders` holds the sample-keeping recorders
-(:class:`LatencyRecorder`, :class:`BatchHistogram`).
 """
 
 from repro.obs.logging import JsonLogger, get_logger, set_log_stream
@@ -24,14 +24,6 @@ from repro.obs.openmetrics import (
     count_series,
     merge_snapshots,
     render_openmetrics,
-)
-from repro.obs.recorders import (
-    DEFAULT_PERCENTILES,
-    BatchHistogram,
-    LatencyRecorder,
-    format_latency,
-    merge_scene_counts,
-    percentile,
 )
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -67,13 +59,6 @@ __all__ = [
     "merge_snapshots",
     "count_series",
     "CONTENT_TYPE",
-    # recorders
-    "LatencyRecorder",
-    "BatchHistogram",
-    "percentile",
-    "format_latency",
-    "merge_scene_counts",
-    "DEFAULT_PERCENTILES",
     # tracing
     "span",
     "finish",

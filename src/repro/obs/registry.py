@@ -12,14 +12,17 @@ cluster protocol's ``metrics`` verb.
 Design constraints, in order:
 
 * **Cheap on the hot path.**  ``Counter.inc`` / ``Histogram.observe``
-  are a dict lookup and a float add under one registry lock — no
-  allocation once a series exists.  A serving layer may call them per
-  request.
+  are a dict lookup (plus a ``bisect`` for a histogram) and a float add
+  under one registry lock — no allocation once a series exists.  A
+  serving layer may call them per request.
 * **Bounded cardinality.**  Metrics systems die by label explosion, so
   a family refuses new label *combinations* past ``max_series`` (64 by
   default) with a one-line :class:`~repro.errors.ObsError` naming the
   family — a caller labeling by request id finds out immediately, not
-  after the scrape payload hits a gigabyte.
+  after the scrape payload hits a gigabyte.  A serving layer whose label
+  values are bounded but may outnumber the cap (scenes × verbs) passes
+  ``overflow="other"`` instead: past the cap, new combinations fold
+  into one all-``other`` series, and recording never raises mid-request.
 * **Thread- and fork-safe.**  One lock per registry serializes writers;
   every live registry re-creates its lock in a forked child
   (``os.register_at_fork``), so a worker forked mid-record never
@@ -28,10 +31,16 @@ Design constraints, in order:
 * **Snapshot is data.**  :meth:`MetricsRegistry.snapshot` returns plain
   JSON-able dicts, so worker registries travel over the pipe and merge
   into the front-end's exposition with a ``worker`` label added.
+* **One distribution type.**  :class:`Histogram` is also what the
+  serving layers' ``stats`` summaries read (:meth:`Histogram.summary`,
+  :meth:`Histogram.size_hist`), so ``stats``, the ``metrics`` verb and
+  ``GET /metrics`` report the same samples, each recorded once.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import threading
 import time
@@ -53,11 +62,12 @@ __all__ = [
 
 #: latency histogram bounds, in seconds (sub-ms serving to slow builds)
 DEFAULT_LATENCY_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: power-of-two size buckets (batch sizes, group sizes)
+#: power-of-two size buckets (batch sizes, group sizes); their
+#: :meth:`Histogram.size_hist` labels are ``1``, ``2``, ``3-4``, ``5-8``, …
 DEFAULT_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 #: cap on distinct label combinations per family (see module docstring)
@@ -88,12 +98,14 @@ class _Family:
         help: str,
         labelnames: Tuple[str, ...],
         max_series: int,
+        overflow: Optional[str] = None,
     ) -> None:
         self._registry = registry
         self.name = name
         self.help = help
         self.labelnames = labelnames
         self.max_series = max_series
+        self.overflow = overflow
         self._series: Dict[Tuple[str, ...], object] = {}
 
     # -- label handling --------------------------------------------------
@@ -105,6 +117,8 @@ class _Family:
             )
         key = tuple(str(labels[n]) for n in self.labelnames)
         if key not in self._series and len(self._series) >= self.max_series:
+            if self.overflow is not None:
+                return (self.overflow,) * len(self.labelnames)
             raise ObsError(
                 f"metric {self.name!r} would exceed {self.max_series} label "
                 f"combinations (unbounded label value? got {dict(labels)!r})"
@@ -193,8 +207,9 @@ class Histogram(_Family):
 
     kind = "histogram"
 
-    def __init__(self, registry, name, help, labelnames, max_series, buckets):
-        super().__init__(registry, name, help, labelnames, max_series)
+    def __init__(self, registry, name, help, labelnames, max_series, buckets,
+                 overflow=None):
+        super().__init__(registry, name, help, labelnames, max_series, overflow)
         bs = tuple(float(b) for b in buckets)
         if not bs or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
             raise ObsError(
@@ -210,26 +225,73 @@ class Histogram(_Family):
             series = self._series.get(key)
             if series is None:
                 series = self._series[key] = _HistSeries(len(self.buckets))
-            i = 0
-            for b in self.buckets:
-                if value <= b:
-                    break
-                i += 1
-            series.counts[i] += 1
+            # first bound >= value: the `value <= bound` bucket rule
+            series.counts[bisect.bisect_left(self.buckets, value)] += 1
             series.sum += value
             series.count += 1
 
-    def value(self, **labels) -> dict:
-        """``{"count", "sum", "counts"}`` for one label combination."""
+    def _merged(self, labels: dict) -> Tuple[list, float, int]:
+        """Bucket counts, sum and count summed over every series whose
+        labels include ``labels`` (an empty subset matches them all)."""
+        unknown = set(labels) - set(self.labelnames)
+        if unknown:
+            raise ObsError(
+                f"metric {self.name!r} takes labels {list(self.labelnames)}, "
+                f"got {sorted(unknown)}"
+            )
+        want = [(self.labelnames.index(n), str(v)) for n, v in labels.items()]
+        counts = [0] * (len(self.buckets) + 1)
+        total, n = 0.0, 0
         with self._registry._lock:
-            series = self._series.get(self._key(labels))
-            if series is None:
-                return {"count": 0, "sum": 0.0, "counts": [0] * (len(self.buckets) + 1)}
-            return {
-                "count": series.count,
-                "sum": series.sum,
-                "counts": list(series.counts),
-            }
+            for key, s in self._series.items():
+                if all(key[i] == v for i, v in want):
+                    counts = [a + b for a, b in zip(counts, s.counts)]
+                    total += s.sum
+                    n += s.count
+        return counts, total, n
+
+    def _quantile(self, counts: list, n: int, q: float) -> float:
+        """Prometheus ``histogram_quantile``: linear interpolation inside
+        the bucket holding rank ``q·n`` (the first bucket starts at 0;
+        the overflow bucket answers with the highest finite bound)."""
+        rank = q * n
+        seen = 0
+        for i, c in enumerate(counts):
+            if c and seen + c >= rank:
+                if i == len(self.buckets):
+                    return self.buckets[-1]
+                lo = self.buckets[i - 1] if i else 0.0
+                return lo + (self.buckets[i] - lo) * (rank - seen) / c
+            seen += c
+        return self.buckets[-1]
+
+    def summary(self, **labels) -> dict:
+        """``{"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms"}`` over the
+        series matching the label subset ``labels`` — seconds in,
+        milliseconds out, percentiles interpolated within buckets (so no
+        ``max``: a bucketed histogram does not keep one).  ``nan`` stands
+        for every figure of an empty selection."""
+        counts, total, n = self._merged(labels)
+        out = {"count": n, "mean_ms": total / n * 1e3 if n else math.nan}
+        for q in (50, 95, 99):
+            out[f"p{q}_ms"] = self._quantile(counts, n, q / 100) * 1e3 if n else math.nan
+        return out
+
+    def size_hist(self, **labels) -> dict[str, int]:
+        """Non-empty buckets of the matching series as size-range labels
+        (``"1"``, ``"2"``, ``"3-4"``, ``"5-8"``, … and ``"<last+1>+"`` for
+        the overflow bucket), ascending — the batch-size view."""
+        counts, _, _ = self._merged(labels)
+        out: dict[str, int] = {}
+        lo = 1
+        for bound, c in zip(self.buckets, counts):
+            hi = int(bound)
+            if c:
+                out[str(hi) if lo == hi else f"{lo}-{hi}"] = c
+            lo = hi + 1
+        if counts[-1]:
+            out[f"{lo}+"] = counts[-1]
+        return out
 
     def _snapshot_series(self) -> list:
         return [
@@ -270,11 +332,17 @@ class MetricsRegistry:
             self._families[name] = fam
             return fam
 
-    def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
-        return self._family(Counter, name, help, labels)
+    def counter(
+        self, name: str, help: str = "", labels: Sequence[str] = (),
+        overflow: Optional[str] = None,
+    ) -> Counter:
+        return self._family(Counter, name, help, labels, overflow=overflow)
 
-    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
-        return self._family(Gauge, name, help, labels)
+    def gauge(
+        self, name: str, help: str = "", labels: Sequence[str] = (),
+        overflow: Optional[str] = None,
+    ) -> Gauge:
+        return self._family(Gauge, name, help, labels, overflow=overflow)
 
     def histogram(
         self,
@@ -282,8 +350,11 @@ class MetricsRegistry:
         help: str = "",
         labels: Sequence[str] = (),
         buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
+        overflow: Optional[str] = None,
     ) -> Histogram:
-        return self._family(Histogram, name, help, labels, buckets=tuple(buckets))
+        return self._family(
+            Histogram, name, help, labels, buckets=tuple(buckets), overflow=overflow
+        )
 
     # -- collectors ------------------------------------------------------
     def add_collector(self, fn: Callable[[], None]) -> None:

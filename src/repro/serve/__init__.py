@@ -17,13 +17,12 @@ is the *online* half an actual deployment needs:
   resident bytes;
 * :mod:`repro.serve.server` — :class:`QueryServer`, the batching
   front-end that coalesces same-scene length requests into single
-  vectorized matrix gathers;
-The latency/batch recorders live in :mod:`repro.obs` (the unified
-observability subsystem); the re-exports below are kept for
-compatibility.
+  vectorized matrix gathers.
+
+Every layer records its counters and distributions into a
+:mod:`repro.obs` registry; ``stats`` summaries are views of it.
 """
 
-from repro.obs.recorders import BatchHistogram, LatencyRecorder, percentile
 from repro.serve.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_SUFFIX,
@@ -52,7 +51,4 @@ __all__ = [
     "Request",
     "SceneStore",
     "resident_bytes",
-    "BatchHistogram",
-    "LatencyRecorder",
-    "percentile",
 ]

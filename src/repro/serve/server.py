@@ -14,9 +14,12 @@ serving-side twin of the paper's build-side batching, and
 throughput multiples.
 
 Every answered request also lands in the ``repro.query.*`` metric
-families (per-verb counters plus answer-shape histograms, see
-``metrics.md``) through the process-default registry, so the in-process
-server, the cluster workers, and ``GET /metrics`` all expose one truth.
+families (per-verb counters, the ``repro.query.batch_size`` histogram
+and answer-shape histograms, see ``metrics.md``) of the registry the
+server is given — the process default unless the caller passes one, as
+a cluster worker passes its own — so the in-process server, the cluster
+workers, and ``GET /metrics`` all expose one truth.  ``stats()``'s
+``batch_size_hist`` is a view of that batch-size histogram.
 
 The API is an in-process, thread-safe one: ``submit`` may be called from
 many threads at once (the store's per-scene locks serialize
@@ -27,14 +30,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import QueryError
 from repro.geometry.primitives import Point
-from repro.obs.recorders import BatchHistogram
-from repro.obs.registry import default_registry
+from repro.obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry, default_registry
 from repro.serve.store import SceneStore
 
 #: request kinds understood by :meth:`QueryServer.submit`
@@ -85,15 +87,20 @@ class QueryServer:
     [7.0, 12.0]
     """
 
-    def __init__(self, store: SceneStore) -> None:
+    def __init__(
+        self, store: SceneStore, registry: Optional[MetricsRegistry] = None
+    ) -> None:
         self.store = store
         self._lock = threading.Lock()
         self.requests = 0
         self.batches = 0
         self.coalesced_groups = 0
         self.largest_group = 0
-        self.batch_hist = BatchHistogram()
-        reg = default_registry()
+        reg = registry if registry is not None else default_registry()
+        self._m_batch = reg.histogram(
+            "repro.query.batch_size", "requests per submit() call",
+            buckets=DEFAULT_SIZE_BUCKETS,
+        )
         self._m_requests = reg.counter(
             "repro.query.requests",
             "queries answered by the batching server, per verb",
@@ -178,7 +185,7 @@ class QueryServer:
             with self.store.using(r.scene) as idx:
                 out[i] = idx.shortest_path(r.p, r.q)
         if reqs:
-            self.batch_hist.observe(len(reqs))
+            self._m_batch.observe(len(reqs))
         by_verb: dict[str, int] = {}
         for r in reqs:
             by_verb[r.op] = by_verb.get(r.op, 0) + 1
@@ -201,5 +208,5 @@ class QueryServer:
                 "coalesced_groups": self.coalesced_groups,
                 "largest_group": self.largest_group,
             }
-        out["batch_size_hist"] = self.batch_hist.as_dict()
+        out["batch_size_hist"] = self._m_batch.size_hist()
         return out

@@ -65,7 +65,6 @@ Corrupt, truncated, or version-mismatched artifacts raise
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pathlib
@@ -73,7 +72,7 @@ import struct
 import tempfile
 import zipfile
 import zlib
-from typing import Optional, Union
+from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
@@ -213,29 +212,28 @@ def save(
     process that loads it holds a private copy).
     """
     path = pathlib.Path(path)
+    if layout not in ("raw", "npz"):
+        raise ValueError(f"unknown snapshot layout {layout!r} (want raw or npz)")
     arrays, include_query = _export_arrays(idx, include_query, include_links)
     header = _base_header(idx, include_query, arrays["matrix"])
-    if layout == "raw":
-        header["version"] = SNAPSHOT_VERSION
-        header["layout"] = "raw"
-        blob = _encode_raw(header, arrays)
-    elif layout == "npz":
+    if layout == "npz":
         header["version"] = NPZ_VERSION
         arrays["header"] = np.frombuffer(
             json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
-        blob = buf.getvalue()
     else:
-        raise ValueError(f"unknown snapshot layout {layout!r} (want raw or npz)")
+        header["version"] = SNAPSHOT_VERSION
+        header["layout"] = "raw"
     # atomic publish: a crash mid-write (or a concurrent saver of the
     # same path) must never leave a truncated artifact where a
     # SceneStore will try to load it — hence a unique temp sibling
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            if layout == "raw":
+                _write_raw(fh, header, arrays)
+            else:
+                np.savez_compressed(fh, **arrays)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -246,35 +244,35 @@ def save(
     return path
 
 
-def _encode_raw(header: dict, arrays: dict) -> bytes:
-    """The raw (v3) container: magic + header length + JSON + aligned
-    C-order payloads.  TOC offsets are relative to the payload base (which
-    is itself ``_align(16 + header length)``), so the header's own length
-    never feeds back into the offsets it describes."""
+def _write_raw(fh: BinaryIO, header: dict, arrays: dict) -> None:
+    """Write the raw (v3) container to ``fh``: magic + header length +
+    JSON + aligned C-order payloads.  TOC offsets are relative to the
+    payload base (which is itself ``_align(16 + header length)``), so the
+    header's own length never feeds back into the offsets it describes.
+    Each array's buffer goes to the file as is — no in-memory copy of the
+    file is ever built."""
+    names = sorted(arrays)
+    arrs = [np.ascontiguousarray(arrays[name]) for name in names]
     toc: dict[str, dict] = {}
     rel = 0
-    blobs: list[bytes] = []
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+    for name, arr in zip(names, arrs):
         toc[name] = {
             "dtype": arr.dtype.str,
             "shape": list(arr.shape),
             "offset": rel,
             "nbytes": arr.nbytes,
         }
-        blobs.append(arr.tobytes())
         rel = _align(rel + arr.nbytes)
-    header = dict(header, toc=toc)
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    hbytes = json.dumps(dict(header, toc=toc), sort_keys=True).encode("utf-8")
     base = _align(16 + len(hbytes))
-    out = bytearray(base + rel)
-    out[:8] = RAW_MAGIC
-    out[8:16] = struct.pack("<Q", len(hbytes))
-    out[16 : 16 + len(hbytes)] = hbytes
-    for name, blob in zip(sorted(arrays), blobs):
+    fh.write(RAW_MAGIC + struct.pack("<Q", len(hbytes)) + hbytes)
+    pos = 16 + len(hbytes)
+    for name, arr in zip(names, arrs):
         off = base + toc[name]["offset"]
-        out[off : off + len(blob)] = blob
-    return bytes(out)
+        fh.write(bytes(off - pos))
+        fh.write(arr.reshape(-1).view(np.uint8))
+        pos = off + arr.nbytes
+    fh.write(bytes(base + rel - pos))
 
 
 def read_header(path: PathLike) -> dict:

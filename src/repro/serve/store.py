@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import mmap
+import os
 import pathlib
 import threading
 import time
@@ -124,7 +125,7 @@ class SceneStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.loads = 0  # snapshot materializations
+        self.loads = 0  # snapshot file loads (aliases of a file share one)
         self.builds = 0  # engine-build materializations
         self.swaps = 0  # generation rollovers (see :meth:`swap`)
         #: scene name → one-line reason for every quarantined snapshot
@@ -146,17 +147,48 @@ class SceneStore:
         *quarantined* (renamed to ``<name>.quarantined``) rather than
         retried; with a ``fallback`` builder the scene then rebuilds from
         source instead of erroring — degraded (slow first query) but
-        alive, which is what a serving worker needs."""
-        p = pathlib.Path(path)
+        alive, which is what a serving worker needs.
+
+        Names registered on the same file share one load: an alias whose
+        sibling is resident gets the sibling's index (one mapping, one
+        checksum pass), and aliases share a materialization lock so two
+        of them never load the file concurrently."""
+        p = pathlib.Path(os.path.abspath(path))
+        with self._lock:
+            lock = next(
+                (e.lock for e in self._entries.values() if e.path == p),
+                threading.Lock(),
+            )
         self._register(
             name,
             _Entry(
-                source=lambda: load_snapshot(p),
+                source=lambda: self._load_file(p),
                 kind="snapshot",
                 path=p,
                 fallback=fallback,
+                lock=lock,
             ),
         )
+
+    def _load_file(self, path: pathlib.Path) -> ShortestPathIndex:
+        """A resident alias's index for ``path``, else a fresh load; a
+        file an alias already quarantined fails as corrupt, so this name
+        falls back too.  Caller holds the aliases' shared entry lock."""
+        with self._lock:
+            for name, e in self._entries.items():
+                if e.path != path:
+                    continue
+                if e.kind == "snapshot" and e.idx is not None:
+                    return e.idx
+                if name in self.quarantines:
+                    raise SnapshotError(
+                        f"{path}: quarantined via scene {name!r}: "
+                        f"{self.quarantines[name]}"
+                    )
+        idx = load_snapshot(path)
+        with self._lock:
+            self.loads += 1
+        return idx
 
     def add_scene(
         self,
@@ -229,9 +261,7 @@ class SceneStore:
                 idx = self._materialize(name, entry)
                 with self._lock:
                     self.misses += 1
-                    if entry.kind == "snapshot":
-                        self.loads += 1
-                    else:
+                    if entry.kind != "snapshot":
                         self.builds += 1
                     if entry.generation == gen:
                         entry.idx = idx
@@ -476,10 +506,6 @@ class SceneStore:
             return {
                 name: e.nbytes for name, e in self._entries.items() if e.idx is not None
             }
-
-    def resident_total(self) -> int:
-        with self._lock:
-            return sum(e.nbytes for e in self._entries.values() if e.idx is not None)
 
     def evict(self, name: str) -> bool:
         """Drop one scene back to its source; True if it was resident.

@@ -1,5 +1,5 @@
 """Tests for the cluster subsystem: HRW routing, the wire protocol,
-metrics recorders, the worker request loop, and the full front-end
+the histogram summaries behind `stats`, the worker request loop, and the full front-end
 (micro-batching, ordering, shedding, stats, clean shutdown)."""
 
 import asyncio
@@ -28,9 +28,9 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.worker import _WorkerState, memory_info
 from repro.core.api import ShortestPathIndex
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ObsError
 from repro.serve.publish import list_published
-from repro.obs.recorders import BatchHistogram, LatencyRecorder, percentile
+from repro.obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from repro.workloads.generators import random_disjoint_rects
 
 
@@ -128,49 +128,117 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_percentile_matches_numpy(self):
+        # client-side latencies stay exact: numpy's percentiles of every sample
         vals = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-        for q in (50, 95, 99, 0, 100):
-            assert percentile(vals, q) == pytest.approx(np.percentile(vals, q))
-        assert np.isnan(percentile([], 50))
+        s = loadgen.latency_summary(vals)
+        for q in (50, 95, 99):
+            assert s[f"p{q}_ms"] == pytest.approx(np.percentile(vals, q) * 1e3)
+        assert s["max_ms"] == pytest.approx(9e3)
+        empty = loadgen.latency_summary([])
+        assert empty["count"] == 0 and np.isnan(empty["p50_ms"])
 
-    def test_latency_recorder_summary_keys(self):
-        rec = LatencyRecorder()
-        rec.extend([0.001, 0.002, 0.010])
-        s = rec.summary()
+    def test_latency_summary_keys(self):
+        s = loadgen.latency_summary([0.001, 0.002, 0.010])
         assert set(s) == {"count", "mean_ms", "max_ms", "p50_ms", "p95_ms", "p99_ms"}
         assert s["count"] == 3
         assert s["p50_ms"] == pytest.approx(2.0)
         assert s["max_ms"] == pytest.approx(10.0)
 
-    def test_latency_recorder_reservoir_bounds_memory(self):
-        rec = LatencyRecorder(capacity=64)
-        rec.extend([0.001] * 1000)
-        assert rec.count == 1000
-        assert len(rec._samples) == 64
-        assert rec.summary()["p99_ms"] == pytest.approx(1.0)
+    def test_histogram_summary_interpolates_within_buckets(self):
+        h = MetricsRegistry().histogram("t.lat", buckets=[1.0, 2.0, 4.0])
+        for v in (0.5, 1.5, 1.5, 3.0):  # counts [1, 2, 1, 0]
+            h.observe(v)
+        s = h.summary()
+        assert set(s) == {"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms"}
+        assert s["count"] == 4
+        assert s["mean_ms"] == pytest.approx(1625.0)
+        # rank 2 lands in (1, 2] holding 2 after 1 below: 1 + 1 * (2-1)/2
+        assert s["p50_ms"] == pytest.approx(1500.0)
+        # rank 3.8 in (2, 4] holding 1 after 3 below: 2 + 2 * 0.8
+        assert s["p95_ms"] == pytest.approx(3600.0)
+        assert s["p99_ms"] == pytest.approx(3920.0)
+        h.observe(10.0)  # overflow: answered with the highest finite bound
+        assert h.summary()["p99_ms"] == pytest.approx(4000.0)
+
+    def test_histogram_percentiles_are_monotone(self):
+        h = MetricsRegistry().histogram("t.lat")
+        rng = np.random.default_rng(3)
+        for v in rng.lognormal(-7, 1.5, size=500):
+            h.observe(v)
+        s = h.summary()
+        assert 0 < s["p50_ms"] <= s["p95_ms"] <= s["p99_ms"]
+
+    def test_histogram_summary_of_empty_selection(self):
+        h = MetricsRegistry().histogram("t.lat", labels=["scene"])
+        s = h.summary()
+        assert s["count"] == 0
+        assert all(np.isnan(s[k]) for k in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"))
+        h.observe(0.001, scene="a")
+        assert h.summary(scene="b")["count"] == 0
+        assert h.size_hist(scene="b") == {}
+
+    def test_histogram_label_subset_merge(self):
+        h = MetricsRegistry().histogram("t.lat", labels=["scene", "verb"])
+        h.observe(0.001, scene="a", verb="length")
+        h.observe(0.003, scene="a", verb="path")
+        h.observe(0.002, scene="b", verb="length")
+        assert h.summary(scene="a")["count"] == 2
+        assert h.summary(scene="a")["mean_ms"] == pytest.approx(2.0)
+        assert h.summary(verb="length")["count"] == 2
+        assert h.summary(scene="a", verb="path")["count"] == 1
+        assert h.summary()["count"] == 3
+        with pytest.raises(ObsError):
+            h.summary(worker="0")
 
     def test_batch_histogram_and_merge(self):
-        h = BatchHistogram()
-        for size in (1, 2, 2, 4, 7, 64):
-            h.observe(size)
-        assert h.as_dict() == {"1": 1, "2": 2, "3-4": 1, "5-8": 1, "33-64": 1}
-        other = BatchHistogram()
-        other.merge(h.as_dict())
-        assert other.as_dict() == h.as_dict()
-        with pytest.raises(ValueError):
-            h.observe(0)
+        h = MetricsRegistry().histogram(
+            "t.batch", labels=["worker"], buckets=DEFAULT_SIZE_BUCKETS
+        )
+        for size in (1, 2, 2, 4):
+            h.observe(size, worker="0")
+        for size in (7, 64, 300):
+            h.observe(size, worker="1")
+        assert h.size_hist(worker="0") == {"1": 1, "2": 2, "3-4": 1}
+        assert h.size_hist() == {
+            "1": 1, "2": 2, "3-4": 1, "5-8": 1, "33-64": 1, "257+": 1,
+        }
 
     def test_batch_histogram_mean_survives_merge(self):
-        # merged histograms credit items at the bucket upper bound: an
-        # upper estimate, never the old items-stuck-at-zero underestimate
-        h = BatchHistogram()
-        h.observe(8)
-        assert h.mean() == 8.0
-        merged = BatchHistogram()
-        merged.merge(h.as_dict())
-        assert merged.mean() == 8.0  # "5-8" credited at 8
-        merged.merge({"3-4": 2})
-        assert merged.mean() == pytest.approx((8 + 4 + 4) / 3)
+        # the mean over merged series is exact (sum / count), not a
+        # bucket-bound estimate; summary() scales every histogram by 1e3,
+        # so for a size family mean_ms is the mean size x 1000
+        h = MetricsRegistry().histogram(
+            "t.batch", labels=["worker"], buckets=DEFAULT_SIZE_BUCKETS
+        )
+        h.observe(8, worker="0")
+        h.observe(3, worker="1")
+        h.observe(3, worker="1")
+        assert h.summary()["mean_ms"] == pytest.approx((8 + 3 + 3) / 3 * 1e3)
+
+    def test_observe_bucket_edges_and_sub_ms_bounds(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("t.lat")
+        assert h.buckets[:3] == (0.0001, 0.00025, 0.0005)
+        for v in (0.0001, 0.00034, 0.0005, 20.0):
+            h.observe(v)
+        (series,) = reg.snapshot()["t.lat"]["series"]
+        counts = series["counts"]
+        assert counts[0] == 1  # value == bound lands in that bucket
+        assert counts[2] == 2  # (0.00025, 0.0005]
+        assert counts[-1] == 1  # past the last bound: overflow
+        assert 0.25 < h.summary()["p50_ms"] <= 0.5
+
+    def test_overflow_label_folds_instead_of_raising(self):
+        reg = MetricsRegistry(max_series=2)
+        c = reg.counter("t.scenes", labels=["scene"], overflow="other")
+        for name in ("a", "b", "c", "d"):
+            c.inc(scene=name)
+        assert c.value(scene="a") == 1.0
+        assert c.value(scene="other") == 2.0
+        h = reg.histogram("t.lat", labels=["scene", "verb"], overflow="other")
+        for name in ("a", "b", "c"):
+            h.observe(0.001, scene=name, verb="length")
+        assert h.summary(scene="other", verb="other")["count"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +254,9 @@ class TestWorkerState:
     def state(self, tmp_path):
         rects = random_disjoint_rects(6, seed=1)
         idx = ShortestPathIndex.build(rects)
-        st = _WorkerState(0, [_snapshot_spec("a", idx, tmp_path)], {})
+        st = _WorkerState(
+            0, [_snapshot_spec("a", idx, tmp_path)], {}, registry=MetricsRegistry()
+        )
         return st, idx
 
     def test_mixed_batch(self, state):
@@ -343,6 +413,41 @@ class TestClusterEndToEnd:
                 assert [r["id"] for r in resps] == list(range(len(msgs)))
                 assert all(r["ok"] for r in resps)
                 assert [r["result"] for r in resps] == want
+        asyncio.run(run())
+
+    def test_label_series_past_the_cap_never_hang(self):
+        """14 scenes x 5 verbs outgrow the 64-series cap of
+        repro.frontend.latency_seconds; the 65th combination folds into
+        "other" instead of raising inside the dispatch loop (which left
+        that request unanswered and the worker's queue unserved)."""
+        indexes = {
+            f"s{i:02d}": ShortestPathIndex.build(random_disjoint_rects(3, seed=40 + i))
+            for i in range(14)
+        }
+
+        async def run():
+            scenes = {name: {"index": idx} for name, idx in indexes.items()}
+            async with ClusterFrontend(scenes, workers=1) as fe:
+                n = 0
+                for name, idx in sorted(indexes.items()):
+                    vs = [list(v) for v in idx.vertices()]
+                    for op in ("endpoints", "length", "path", "minlink", "pareto"):
+                        msg = {"id": n, "op": op, "scene": name, "p": vs[0], "q": vs[-1]}
+                        (r,) = await _rpc(fe.host, fe.port, msg, timeout=10.0)
+                        assert r["ok"], (n, op, name, r)
+                        n += 1
+                later = [
+                    {"id": k, "op": "length", "scene": name,
+                     "p": list(idx.vertices()[0]), "q": list(idx.vertices()[1])}
+                    for k, (name, idx) in enumerate(sorted(indexes.items()))
+                ]
+                resps = await _rpc(fe.host, fe.port, *later, timeout=10.0)
+                assert all(r["ok"] for r in resps)
+                hist = fe.registry.histogram(
+                    "repro.frontend.latency_seconds", labels=["scene", "verb"]
+                )
+                assert hist.summary()["count"] == n + len(later)
+                assert hist.summary(scene="other")["count"] > 0
         asyncio.run(run())
 
     def test_bulk_lengths_and_paths(self, scene_data):

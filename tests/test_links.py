@@ -19,7 +19,7 @@ from repro.geometry.primitives import Rect
 from repro.serve.server import QueryServer, Request
 from repro.serve.snapshot import (
     LEGACY_VERBS,
-    _encode_raw,
+    _write_raw,
     load,
     load_arrays,
     read_header,
@@ -127,9 +127,8 @@ class TestSnapshotV4:
         header.pop("toc")
         header["version"] = 3
         legacy = tmp_path / "legacy.rsp"
-        legacy.write_bytes(
-            _encode_raw(header, {k: v for k, v in arrays.items() if v is not None})
-        )
+        with open(legacy, "wb") as fh:
+            _write_raw(fh, header, {k: v for k, v in arrays.items() if v is not None})
         idx = load(legacy)
         assert idx.capabilities == LEGACY_VERBS
         assert "predates link queries" in idx.capability_note
@@ -208,9 +207,8 @@ class TestCLI:
         header.pop("toc")
         header["version"] = 3
         legacy = tmp_path / "legacy.rsp"
-        legacy.write_bytes(
-            _encode_raw(header, {k: v for k, v in arrays.items() if v is not None})
-        )
+        with open(legacy, "wb") as fh:
+            _write_raw(fh, header, {k: v for k, v in arrays.items() if v is not None})
         # one-line capability error, not a traceback
         with pytest.raises(SystemExit) as exc:
             main(["query", str(legacy), "0,20", "70,22", "--minlink"])

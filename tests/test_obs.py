@@ -385,6 +385,32 @@ class TestClusterObs:
                 }
                 for name, m in stats["frontend"]["scenes"].items():
                     assert m["requests"] == per_scene.get(name, 0)
+
+                # distributions: `stats` reads the same histograms the
+                # scrape renders (scene probes are not latency-recorded)
+                def hist_count(fam, **labels):
+                    return sum(
+                        s["count"] for s in snap[fam]["series"]
+                        if all(s["labels"].get(k) == v for k, v in labels.items())
+                    )
+
+                for name, m in stats["frontend"]["scenes"].items():
+                    assert m["latency"]["count"] == hist_count(
+                        "repro.frontend.latency_seconds", scene=name
+                    )
+                assert stats["frontend"]["scenes"]["a"]["latency"]["count"] >= 5
+                # ...and the batch table: the metrics probe adds one
+                # batch per live worker after the stats snapshot
+                live = [w for w, ws in stats["workers"].items() if "service" in ws]
+                assert sum(stats["frontend"]["batch_size_hist"].values()) + len(
+                    live
+                ) == hist_count("repro.frontend.batch_size")
+                # each worker's service view vs its labeled series: the
+                # stats batch itself lands after that worker's stats answer
+                for wid in live:
+                    assert stats["workers"][wid]["service"]["count"] + 1 == (
+                        hist_count("repro.worker.service_seconds", worker=wid)
+                    )
                 # worker series arrive labeled and the snapshot renders
                 assert any(
                     s["labels"].get("worker")

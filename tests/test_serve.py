@@ -15,6 +15,7 @@ from repro.core.allpairs import DistanceIndex
 from repro.core.api import ShortestPathIndex
 from repro.core.query import QueryStructure
 from repro.errors import QueryError, SnapshotError
+from repro.obs.registry import MetricsRegistry
 from repro.pram import PRAM
 from repro.serve import (
     QueryServer,
@@ -29,7 +30,7 @@ from repro.serve.snapshot import (
     NPZ_VERSION,
     RAW_MAGIC,
     SNAPSHOT_VERSION,
-    _encode_raw,
+    _write_raw,
     _export_arrays,
     load_arrays,
     read_header as read_snapshot_header,
@@ -415,7 +416,8 @@ class TestSnapshotFormatV3:
             "matrix_sha256": "0" * 64,
         }
         path = tmp_path / "future.rsp"
-        path.write_bytes(_encode_raw(header, arrays))
+        with open(path, "wb") as fh:
+            _write_raw(fh, header, arrays)
         with pytest.raises(SnapshotError, match="version"):
             load(path)
         err = str(pytest.raises(SnapshotError, read_snapshot_header, path).value)
@@ -456,7 +458,8 @@ class TestSnapshotFormatV3:
             "matrix_sha256": "0" * 64,
         }
         path = tmp_path / "neg.rsp"
-        path.write_bytes(_encode_raw(header, arrays))
+        with open(path, "wb") as fh:
+            _write_raw(fh, header, arrays)
         good = read_snapshot_header(path)
         good["toc"]["points"]["offset"] = -64
         import struct as _struct
@@ -527,6 +530,48 @@ class TestSnapshotFormatV3:
         m.tofile(path)
         mapped = np.memmap(path, mode="r", dtype=np.float64, shape=m.shape)
         assert _matrix_digest(mapped) == want
+
+    def test_save_streams_arrays_to_the_file(self, tmp_path):
+        """A raw save writes each array's buffer straight to the file:
+        peak Python allocation stays far below the matrix, and the bytes
+        equal the in-memory layout built the long way round."""
+        import struct
+        import tracemalloc
+
+        from repro.serve.snapshot import RAW_ALIGN, _base_header, _export_arrays
+
+        idx = ShortestPathIndex.build(random_disjoint_rects(128, seed=5))
+        save(idx, tmp_path / "warm.rsp")  # builds the lazy query structure
+        tracemalloc.start()
+        try:
+            path = save(idx, tmp_path / "s.rsp")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = idx.index.matrix.nbytes
+        assert matrix_bytes > 1 << 20
+        assert peak < matrix_bytes // 4, (peak, matrix_bytes)
+
+        def align(n):
+            return (n + RAW_ALIGN - 1) // RAW_ALIGN * RAW_ALIGN
+
+        arrays, include_query = _export_arrays(idx, True)
+        header = dict(_base_header(idx, include_query, arrays["matrix"]),
+                      version=SNAPSHOT_VERSION, layout="raw")
+        toc, rel = {}, 0
+        for name in sorted(arrays):
+            arr = np.ascontiguousarray(arrays[name])
+            toc[name] = {"dtype": arr.dtype.str, "shape": list(arr.shape),
+                         "offset": rel, "nbytes": arr.nbytes}
+            rel = align(rel + arr.nbytes)
+        hbytes = json.dumps(dict(header, toc=toc), sort_keys=True).encode()
+        base = align(16 + len(hbytes))
+        want = bytearray(base + rel)
+        want[:16 + len(hbytes)] = RAW_MAGIC + struct.pack("<Q", len(hbytes)) + hbytes
+        for name in sorted(arrays):
+            off = base + toc[name]["offset"]
+            want[off:off + toc[name]["nbytes"]] = np.ascontiguousarray(arrays[name]).tobytes()
+        assert path.read_bytes() == bytes(want)
 
 
 class TestExportImportHooks:
@@ -757,7 +802,7 @@ class TestQueryServer:
         store = SceneStore()
         store.add_scene("a", rects_a)
         store.add_scene("b", rects_b)
-        return QueryServer(store), store
+        return QueryServer(store, registry=MetricsRegistry()), store
 
     def test_mixed_batch_order_and_values(self, served):
         server, store = served

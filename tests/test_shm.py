@@ -19,7 +19,7 @@ from repro.core.api import ShortestPathIndex
 from repro.errors import ClusterError, ReproError
 from repro.serve import publish
 from repro.serve.publish import SnapshotPublisher, list_published
-from repro.serve.snapshot import load, save
+from repro.serve.snapshot import load, read_header, save
 from repro.serve.store import SceneStore, resident_bytes
 from repro.workloads.generators import (
     random_disjoint_rects,
@@ -348,3 +348,91 @@ class TestStoreIntegration:
             assert second is not first
             assert idx.lengths(pairs).tobytes() == second.lengths(pairs).tobytes()
             assert store.stats()["loads"] == 2
+
+    def test_aliases_of_one_file_share_one_load(self):
+        """Eight names published for one index are one file; a worker
+        store loads and maps it once, not once per name."""
+        idx = ShortestPathIndex.build(random_disjoint_rects(6, seed=14))
+        pairs = _sample_pairs(idx)
+        with SnapshotPublisher() as pub:
+            store = SceneStore()
+            paths = {pub.publish(f"c{i}", idx) for i in range(8)}
+            assert len(paths) == 1
+            (path,) = paths
+            for i in range(8):
+                register_scene(store, {"name": f"c{i}", "kind": "snapshot",
+                                       "path": path})
+
+            def mappings():
+                if not os.path.exists("/proc/self/maps"):
+                    return None
+                with open("/proc/self/maps") as fh:
+                    return sum(1 for line in fh if line.rstrip().endswith(str(path)))
+
+            got = [store.get("c0")]
+            one = mappings()
+            got += [store.get(f"c{i}") for i in range(1, 8)]
+            assert all(g is got[0] for g in got)
+            assert store.stats()["loads"] == 1
+            assert mappings() == one  # the seven aliases mapped nothing new
+            assert got[0].lengths(pairs).tobytes() == idx.lengths(pairs).tobytes()
+            # an alias evicted alone re-materializes from its resident sibling
+            assert store.evict("c3")
+            assert store.get("c3") is got[0]
+            assert store.stats()["loads"] == 1
+
+    def test_corrupt_file_quarantines_once_for_every_alias(self, tmp_path):
+        """A corrupt file shared by two names is quarantined once, and
+        each name falls back to its own rebuild."""
+        rects = random_disjoint_rects(6, seed=15)
+        idx = ShortestPathIndex.build(rects)
+        path = save(idx, tmp_path / "s.rsp")
+        data = bytearray(path.read_bytes())
+        base = (16 + int.from_bytes(data[8:16], "little") + 63) // 64 * 64
+        data[base + read_header(path)["toc"]["matrix"]["offset"] + 8] ^= 0xFF
+        path.write_bytes(bytes(data))  # a bit flip the checksum catches
+        store = SceneStore()
+        for name in ("a", "b"):
+            store.add_snapshot(name, path, fallback=lambda: ShortestPathIndex.build(rects))
+        pairs = _sample_pairs(idx)
+        for name in ("a", "b"):
+            got = store.get(name)
+            assert got.lengths(pairs).tobytes() == idx.lengths(pairs).tobytes()
+        quarantined = sorted(p.name for p in tmp_path.iterdir())
+        assert quarantined == ["s.rsp.quarantined"]
+        st = store.stats()
+        assert st["quarantined_scenes"] == ["a", "b"]
+        assert st["loads"] == 0
+
+    def test_concurrent_aliases_load_the_file_once(self):
+        """Aliases share one materialization lock: sixteen threads asking
+        for eight names of one file at once still load it once."""
+        import sys
+        import threading
+
+        idx = ShortestPathIndex.build(random_disjoint_rects(6, seed=16))
+        with SnapshotPublisher() as pub:
+            path = pub.publish("c0", idx)
+            store = SceneStore()
+            for i in range(8):
+                store.add_snapshot(f"c{i}", path)
+            barrier = threading.Barrier(16)
+            got = [None] * 16
+
+            def worker(k):
+                barrier.wait(timeout=10)
+                got[k] = store.get(f"c{k % 8}")
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(16)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(t.is_alive() for t in threads)
+            assert all(g is got[0] for g in got)
+            assert store.stats()["loads"] == 1
