@@ -37,12 +37,17 @@ Two claims about :mod:`repro.cluster` are measured and recorded in
   ``BENCH_SMOKE``), and the artifact records how many kills, restarts,
   and client retries that took.
 
+* **observability overhead** — zero-service throughput with metrics and
+  tracing on vs off, as the median over fifteen alternating on/off pairs;
+  it must stay under 5% (asserted when not ``BENCH_SMOKE``).
+
 Smoke mode (``BENCH_SMOKE=1``) shrinks everything and skips the ratio
 assertions; the JSON artifact is always written.
 """
 
 import asyncio
 import os
+import statistics
 
 from benchmarks.common import SMOKE, emit, emit_json, format_table
 from repro.cluster.faults import FaultPlan
@@ -56,6 +61,7 @@ WORKER_COUNTS = (1, 2) if SMOKE else (1, 2, 4)
 N_RECTS = 12 if SMOKE else 48
 N_SCENES = 4
 SLEEP_REQS = 60 if SMOKE else 400
+OBS_PAIRS = 15
 SLEEP_MS = 2.0
 QUERY_REQS = 60 if SMOKE else 400
 PAIRS = 32
@@ -133,12 +139,21 @@ async def _measure_obs_overhead(indexes):
     """Fixed-service-time throughput with observability on vs off
     (``obs=False`` skips histograms and tracing; counters stay).  The
     sleep workload maximizes the relative cost of per-request metric
-    work, so the measured overhead is an upper bound for real queries."""
-    qps = {}
-    for obs in (True, False):
-        scenes = {name: {"index": idx} for name, idx in indexes.items()}
-        names = sorted(scenes)
-        async with ClusterFrontend(
+    work, so the measured overhead is an upper bound for real queries.
+
+    One short run swings by tens of percent on a small host, so both
+    clusters stay up and :data:`OBS_PAIRS` on/off pairs run back to
+    back, alternating which side goes first; the reported overhead is
+    the median of the per-pair overheads."""
+    scenes = {name: {"index": idx} for name, idx in indexes.items()}
+    names = sorted(scenes)
+    reqs = [
+        {"op": "sleep", "scene": names[i % len(names)], "ms": 0.0}
+        for i in range(SLEEP_REQS)
+    ]
+
+    def cluster(obs):
+        return ClusterFrontend(
             scenes,
             workers=2,
             pins=_pins(names, 2),
@@ -146,18 +161,30 @@ async def _measure_obs_overhead(indexes):
             batch_window_ms=0.0,
             queue_depth=4 * CONNS,
             obs=obs,
-        ) as fe:
-            reqs = [
-                {"op": "sleep", "scene": names[i % len(names)], "ms": 0.0}
-                for i in range(SLEEP_REQS)
-            ]
-            await run_closed(fe.host, fe.port, reqs[: SLEEP_REQS // 4], conns=CONNS)
-            report = await run_closed(fe.host, fe.port, reqs, conns=CONNS)
-        summary = report.summary()
+        )
+
+    async def qps(fe):
+        summary = (await run_closed(fe.host, fe.port, reqs, conns=CONNS)).summary()
         assert summary["errors"] == 0, summary
-        qps[obs] = summary["qps"]
-    overhead = max(0.0, 1.0 - qps[True] / qps[False]) if qps[False] else 0.0
-    return {"qps_obs_on": qps[True], "qps_obs_off": qps[False], "overhead": overhead}
+        return summary["qps"]
+
+    pairs = []
+    async with cluster(True) as on, cluster(False) as off:
+        for fe in (on, off):
+            await run_closed(fe.host, fe.port, reqs[: SLEEP_REQS // 4], conns=CONNS)
+        for i in range(OBS_PAIRS):
+            if i % 2:
+                q_off, q_on = await qps(off), await qps(on)
+            else:
+                q_on, q_off = await qps(on), await qps(off)
+            pairs.append((q_on, q_off))
+    overheads = [max(0.0, 1.0 - q_on / q_off) if q_off else 0.0 for q_on, q_off in pairs]
+    return {
+        "qps_obs_on": statistics.median(q for q, _ in pairs),
+        "qps_obs_off": statistics.median(q for _, q in pairs),
+        "overhead": statistics.median(overheads),
+        "pair_overheads": [round(o, 4) for o in overheads],
+    }
 
 
 async def _measure_availability(indexes):
@@ -361,7 +388,7 @@ def test_c1_cluster_scaling_and_flat_rss():
             f"{chaos['kills']} kills"
         )
         assert obs["overhead"] < 0.05, (
-            f"metrics+tracing cost {obs['overhead']:.1%} of throughput "
+            f"metrics+tracing cost a median {obs['overhead']:.1%} of throughput "
             f"({obs['qps_obs_on']:.0f} vs {obs['qps_obs_off']:.0f} qps) — "
             f"the observability layer must stay under 5%"
         )

@@ -5,10 +5,10 @@ Walks the three layers of ``repro.serve``:
 
 1. snapshot — pay the parallel build once, persist it, reload in
    milliseconds;
-2. SceneStore — many named scenes, lazy materialization, LRU eviction
-   bounded by resident bytes;
+2. SceneStore — many named scenes, each loaded or built at most once,
+   on first use;
 3. QueryServer — a mixed multi-scene batch answered in order, with
-   same-scene length requests coalesced into one matrix gather.
+   same-scene same-verb requests coalesced into one vectorized call.
 
 Run:  python examples/serve_demo.py
 """
@@ -24,8 +24,11 @@ from repro.workloads.requests import random_request_stream, scene_endpoints
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-serve-"))
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+        demo(Path(tmp))
 
+
+def demo(workdir: Path) -> None:
     # -- 1. snapshot: build once, reload forever -----------------------
     rects = random_disjoint_rects(48, seed=11)
     t0 = time.perf_counter()
@@ -43,8 +46,8 @@ def main() -> None:
     a, b = idx.vertices()[0], idx.vertices()[-1]
     assert reloaded.length(a, b) == idx.length(a, b)
 
-    # -- 2. a store of scenes, bounded residency ------------------------
-    store = SceneStore(max_bytes=2 << 20)
+    # -- 2. a store of scenes, materialized lazily ----------------------
+    store = SceneStore()
     store.add_snapshot("campus", snap)
     store.add_scene("depot", random_disjoint_rects(20, seed=3))
     store.add_scene("port", random_disjoint_rects(24, seed=4), engine="sequential")

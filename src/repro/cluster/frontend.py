@@ -45,7 +45,7 @@ Data path::
   (:func:`repro.pipeline.update_index`), or builds it when it holds
   none, publishes generation N+1 as a new snapshot file, and broadcasts
   its path; workers swap resident scenes atomically (in-flight batches
-  finish on the pinned old generation) and re-source the rest lazily.
+  finish on the old generation they hold) and re-source the rest lazily.
   The old file is unlinked once every live worker acknowledges.
 
 The front-end owns the published snapshot files (it writes every scene
@@ -197,7 +197,6 @@ class ClusterFrontend:
         pins: Optional[Mapping[str, int]] = None,
         start_method: Optional[str] = None,
         engine: str = "parallel",
-        worker_max_bytes: Optional[int] = None,
         supervise: bool = True,
         restart_policy: Optional[RestartPolicy] = None,
         faults: Optional[FaultPlan] = None,
@@ -221,7 +220,6 @@ class ClusterFrontend:
         self.pins = dict(pins or {})
         self.start_method = start_method
         self.engine = engine
-        self.worker_max_bytes = worker_max_bytes
         self.supervise = supervise
         # per-front-end registry (scene-labeled families need headroom
         # past the default cardinality bound when serving many scenes);
@@ -378,7 +376,7 @@ class ClusterFrontend:
     def _spawn_worker(self, wid: int) -> _Worker:
         """Fork/spawn one worker process on the shared spec list."""
         ctx = multiprocessing.get_context(self.start_method)
-        options: dict = {"max_bytes": self.worker_max_bytes}
+        options: dict = {}
         if self.faults is not None:
             fault_opts = self.faults.worker_options()
             if fault_opts:
@@ -982,7 +980,7 @@ class ClusterFrontend:
         it for a snapshot-sourced scene; (2) publish it as a new snapshot
         file (generation+1); (3) broadcast the new spec to every live
         worker, which swaps resident scenes and lazily re-sources the
-        rest — in-flight batches finish on the pinned old generation;
+        rest — in-flight batches finish on the old generation they hold;
         (4) once all live workers acked, unlink the superseded file.  A worker that dies mid-rollover is
         tolerated: its respawn registers from the updated spec list.
         """
@@ -1036,8 +1034,8 @@ class ClusterFrontend:
             self._generations[name] = generation
             if not failures:
                 # every live worker acked the new file; the old one can
-                # go (mappings stay valid past the unlink, so stragglers
-                # draining pinned readers are safe)
+                # go (mappings stay valid past the unlink, so a reader
+                # still holding the old index is safe)
                 self.publisher.release_retired(name)
             wall = time.perf_counter() - t0
             self._m_updates.inc(scene=name)

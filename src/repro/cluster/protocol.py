@@ -49,7 +49,7 @@ the JSON form of :class:`repro.scene.SceneDelta`; the front-end repairs
 its index incrementally (byte-identical to a cold rebuild of the edited
 scene), publishes generation N+1 as a new snapshot file, and broadcasts
 its path to every worker.  In-flight batches
-finish on the *pinned* old generation; requests admitted after the
+finish on the old generation they hold; requests admitted after the
 ``update`` response returns ``ok`` are answered from the new one — the
 response is the linearization point.  The result carries the new
 ``generation``, the new ``scene_hash``, and a ``repair`` provenance dict

@@ -8,12 +8,16 @@ behind a blocking request loop on a ``multiprocessing`` pipe.  The front-end sen
 batch at a time per worker (lockstep), so the loop needs no internal
 concurrency; parallelism comes from running N workers.
 
-Batches take the coalescing fast path: every ``length``/``lengths``
-entry in the batch is expanded into ``QueryServer`` requests and
-answered in a single ``submit`` (one matrix gather per scene).  If any
-request in the batch is individually bad — unknown scene, endpoint
-inside an obstacle — the batch falls back to per-request answering so
-one poisoned request fails alone instead of failing its batchmates.
+Batches take one answer path: every query entry in the batch
+(``length``/``lengths``/``path``/``minlink``/``links``/``pareto``) is
+expanded into ``QueryServer`` requests and answered in a single
+``submit`` (one matrix gather per (scene, verb) group).  If any request
+in the batch is individually bad — unknown scene, endpoint inside an
+obstacle — the same path runs again once per request, so one poisoned
+request fails alone instead of failing its batchmates.  A scene is read
+through the index ``SceneStore.get`` returns; a rollover that lands
+mid-batch swaps the store's index while the batch finishes on the one
+it holds.
 
 Everything the worker measures goes into one registry (its process
 default unless a test hands it another).  The ``stats`` verb's
@@ -21,8 +25,10 @@ default unless a test hands it another).  The ``stats`` verb's
 ``repro.worker.service_seconds`` and ``repro.worker.batch_size``
 histograms, and its ``requests``/``errors``/``updates``/``scenes``
 counts are views of the ``repro.worker.*`` counters.  The embedded
-``QueryServer`` records into the same registry, so ``stats`` and
-``metrics`` read the same samples.
+``QueryServer`` records into the same registry (``repro.query.*``), so
+``stats`` and ``metrics`` read the same samples; only the
+``SceneStore`` and stage-cache counts are copied into gauges, at
+snapshot time.
 
 ``worker_main`` is a module-level function with JSON-plain arguments, so
 it spawns identically under the ``fork`` and ``spawn`` start methods.
@@ -34,8 +40,6 @@ import functools
 import os
 import time
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.errors import ReproError
 from repro.obs.registry import (
@@ -118,7 +122,7 @@ class _WorkerState:
         registry: Optional[MetricsRegistry] = None,
     ):
         self.worker_id = worker_id
-        self.store = SceneStore(max_bytes=options.get("max_bytes"))
+        self.store = SceneStore()
         for spec in scene_specs:
             register_scene(self.store, spec)
         self.started = time.monotonic()
@@ -148,17 +152,13 @@ class _WorkerState:
         self.registry.add_collector(self._collect)
 
     def _collect(self) -> None:
-        """Refresh store/server gauges at snapshot time (not per request)."""
+        """Refresh store/stage-cache gauges at snapshot time (not per
+        request)."""
         g = self.registry.gauge
         st = self.store.stats()
-        for key in ("scenes", "resident", "resident_bytes", "pinned",
-                    "hits", "misses", "evictions", "loads", "builds",
-                    "quarantined", "swaps", "retired_generations",
-                    "retired_pins"):
+        for key in ("scenes", "resident", "hits", "misses", "loads", "builds",
+                    "quarantined", "swaps"):
             g(f"repro.store.{key}", f"SceneStore {key}").set(float(st[key]))
-        sv = self.server.stats()
-        for key in ("requests", "batches", "coalesced_groups", "largest_group"):
-            g(f"repro.server.{key}", f"QueryServer {key}").set(float(sv[key]))
         cache = self.store.stage_cache
         if cache is None:  # store delegates to the process-default cache
             from repro.pipeline import default_cache
@@ -184,7 +184,7 @@ class _WorkerState:
             # one poisoned request — bad endpoint, missing field,
             # malformed pair list — must not fail its batchmates (let
             # alone the worker): retry each alone, catching per-request
-            results = [self._answer_one(r) for r in requests]
+            results = [self._answer_alone(r) for r in requests]
         dt = time.perf_counter() - t0
         self._m_service.observe(dt)
         if requests:
@@ -247,37 +247,10 @@ class _WorkerState:
                 out.append(self._answer_local(span[1]))
         return out
 
-    def _answer_one(self, r: dict) -> dict:
+    def _answer_alone(self, r: dict) -> dict:
+        """``r`` as a batch of one, its failure mapped to an error reply."""
         try:
-            op = r.get("op")
-            if op == "length":
-                with self.store.using(r["scene"]) as idx:
-                    return {"ok": True, "result": _jsonify(idx.length(_as_point(r["p"]), _as_point(r["q"])))}
-            if op == "lengths":
-                with self.store.using(r["scene"]) as idx:
-                    vals = idx.lengths(
-                        [(_as_point(p), _as_point(q)) for p, q in r.get("pairs") or []]
-                    )
-                return {"ok": True, "result": [_jsonify(v) for v in np.asarray(vals).tolist()]}
-            if op == "path":
-                with self.store.using(r["scene"]) as idx:
-                    path = idx.shortest_path(_as_point(r["p"]), _as_point(r["q"]))
-                return {"ok": True, "result": [[int(x), int(y)] for x, y in path]}
-            if op == "minlink":
-                with self.store.using(r["scene"]) as idx:
-                    links = idx.min_links(_as_point(r["p"]), _as_point(r["q"]))
-                return {"ok": True, "result": _jsonify_op("minlink", links)}
-            if op == "links":
-                with self.store.using(r["scene"]) as idx:
-                    counts = idx.link_counts(
-                        [(_as_point(p), _as_point(q)) for p, q in r.get("pairs") or []]
-                    )
-                return {"ok": True, "result": [_jsonify_link(v) for v in counts]}
-            if op == "pareto":
-                with self.store.using(r["scene"]) as idx:
-                    front = idx.paretos([(_as_point(r["p"]), _as_point(r["q"]))])[0]
-                return {"ok": True, "result": _jsonify_op("pareto", front)}
-            return self._answer_local(r)
+            return self._answer_coalesced([r])[0]
         except ReproError as exc:
             return {"ok": False, "error": str(exc)}
         except KeyError as exc:
@@ -325,9 +298,9 @@ class _WorkerState:
         The rollover protocol's worker half: the front-end published the
         new generation as a snapshot file and broadcasts its spec to every
         worker.  A worker holding the scene *resident* loads the new file
-        eagerly and :meth:`SceneStore.swap`\\ s it in — in-flight readers
-        finish on the pinned old index, every later request sees the new
-        one.  A worker that does not have the scene resident only replaces
+        eagerly and :meth:`SceneStore.swap`\\ s it in — a reader still
+        holding the old index finishes on it, every later request sees the
+        new one.  A worker that does not have the scene resident only replaces
         the source (:meth:`SceneStore.replace_source`) and loads lazily if
         routing ever sends it a request — acknowledging a rollover for a
         scene you don't serve costs O(1).
@@ -335,22 +308,23 @@ class _WorkerState:
         name, kind = spec["name"], spec["kind"]
         if kind != "snapshot":
             raise ReproError(f"cannot roll scene {name!r} from spec kind {kind!r}")
-        builder = functools.partial(load_snapshot, spec["path"])
         resident = name in self.store.resident()
         if resident:
-            gen = self.store.swap(name, builder(), source=builder)
+            gen = self.store.swap(name, load_snapshot(spec["path"]))
         else:
-            gen = self.store.replace_source(name, builder)
+            gen = self.store.replace_source(
+                name, functools.partial(load_snapshot, spec["path"])
+            )
         self._m_updates.inc(scene=str(name))
         return {"scene": name, "generation": gen, "resident": resident}
 
     def _endpoints(self, r: dict) -> dict:
         from repro.workloads.requests import scene_endpoints
 
-        with self.store.using(r["scene"]) as idx:
-            verts, free = scene_endpoints(
-                idx, k_free=int(r.get("k", 32)), seed=int(r.get("seed", 0))
-            )
+        verts, free = scene_endpoints(
+            self.store.get(r["scene"]),
+            k_free=int(r.get("k", 32)), seed=int(r.get("seed", 0)),
+        )
         cap = int(r.get("cap", 128))
         return {
             "vertices": [[int(x), int(y)] for x, y in verts[:cap]],

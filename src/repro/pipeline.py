@@ -228,7 +228,8 @@ class StageCache:
 #: artifacts are tiny, and a solve matrix bigger than the budget is
 #: simply not cached (see :meth:`StageCache.put`), so the default cache
 #: can extend matrix lifetimes by at most this bound — it must not
-#: silently dwarf a ``SceneStore(max_bytes=...)`` residency budget
+#: silently keep superseded scene generations alive next to the ones
+#: a ``SceneStore`` serves
 _DEFAULT_CACHE = StageCache(max_entries=64, max_bytes=32 << 20)
 
 

@@ -12,12 +12,12 @@ is the *online* half an actual deployment needs:
   page-cache copy per matrix (the memory model behind
   :mod:`repro.cluster`);
 * :mod:`repro.serve.store` — :class:`SceneStore`, a thread-safe registry
-  of many named scenes with lazy materialization, build-or-load-once
-  locking, pin/unpin read refcounts, and LRU eviction bounded by
-  resident bytes;
+  of many named scenes with lazy materialization and build-or-load-once
+  locking; each scene holds its source and at most one current index,
+  and a reader's own reference keeps the index it got alive;
 * :mod:`repro.serve.server` — :class:`QueryServer`, the batching
-  front-end that coalesces same-scene length requests into single
-  vectorized matrix gathers.
+  front-end that coalesces same-scene same-verb requests into single
+  vectorized calls.
 
 Every layer records its counters and distributions into a
 :mod:`repro.obs` registry; ``stats`` summaries are views of it.
@@ -34,7 +34,7 @@ from repro.serve.snapshot import (
     save,
 )
 from repro.serve.server import OP_LENGTH, OP_PATH, QueryServer, Request
-from repro.serve.store import SceneStore, resident_bytes
+from repro.serve.store import SceneStore
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -50,5 +50,4 @@ __all__ = [
     "QueryServer",
     "Request",
     "SceneStore",
-    "resident_bytes",
 ]

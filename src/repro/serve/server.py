@@ -14,21 +14,23 @@ serving-side twin of the paper's build-side batching, and
 throughput multiples.
 
 Every answered request also lands in the ``repro.query.*`` metric
-families (per-verb counters, the ``repro.query.batch_size`` histogram
-and answer-shape histograms, see ``metrics.md``) of the registry the
-server is given — the process default unless the caller passes one, as
-a cluster worker passes its own — so the in-process server, the cluster
-workers, and ``GET /metrics`` all expose one truth.  ``stats()``'s
-``batch_size_hist`` is a view of that batch-size histogram.
+families (per-verb counters, the ``repro.query.batch_size`` and
+``repro.query.group_size`` histograms and answer-shape histograms, see
+``metrics.md``) of the registry the server is given — the process
+default unless the caller passes one, as a cluster worker passes its
+own — so the in-process server, the cluster workers, and
+``GET /metrics`` all expose one truth.  ``stats()`` is a view of those
+families and keeps no count of its own.
 
 The API is an in-process, thread-safe one: ``submit`` may be called from
 many threads at once (the store's per-scene locks serialize
 materialization; the index's query paths are read-only after that).
+Each group reads the index ``SceneStore.get`` returned, so a rollover
+that lands mid-batch never changes the generation a group is reading.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -45,7 +47,7 @@ OP_PATH = "path"
 OP_MINLINK = "minlink"
 OP_PARETO = "pareto"
 
-#: every op, in the order groups are answered
+#: every request op
 _OPS = (OP_LENGTH, OP_MINLINK, OP_PARETO, OP_PATH)
 
 
@@ -91,14 +93,14 @@ class QueryServer:
         self, store: SceneStore, registry: Optional[MetricsRegistry] = None
     ) -> None:
         self.store = store
-        self._lock = threading.Lock()
-        self.requests = 0
-        self.batches = 0
-        self.coalesced_groups = 0
-        self.largest_group = 0
         reg = registry if registry is not None else default_registry()
         self._m_batch = reg.histogram(
             "repro.query.batch_size", "requests per submit() call",
+            buckets=DEFAULT_SIZE_BUCKETS,
+        )
+        self._m_group = reg.histogram(
+            "repro.query.group_size",
+            "requests per (scene, verb) group of a submit() call",
             buckets=DEFAULT_SIZE_BUCKETS,
         )
         self._m_requests = reg.counter(
@@ -123,8 +125,7 @@ class QueryServer:
 
     def lengths(self, scene: str, pairs: Sequence[tuple[Point, Point]]) -> np.ndarray:
         """All-one-scene fast path: one coalesced call, array result."""
-        with self.store.using(scene) as idx:
-            vals = np.asarray(idx.lengths(list(pairs)))
+        vals = np.asarray(self.store.get(scene).lengths(list(pairs)))
         self._m_requests.inc(len(pairs), verb=OP_LENGTH)
         return vals
 
@@ -141,72 +142,56 @@ class QueryServer:
     def submit(self, requests: Iterable[RequestLike]) -> list:
         """Answer a mixed batch, returning results in request order.
 
-        Length, min-link and pareto requests are each grouped by scene
-        and answered with one vectorized/shared-solve call per (scene,
-        verb) group; path reports are answered per request (path assembly
-        is inherently per-pair, §8).
+        Requests are grouped by (scene, verb).  Length, min-link and
+        pareto groups are each answered with one vectorized/shared-solve
+        call; path reports are answered per request (path assembly is
+        inherently per-pair, §8).
         """
         reqs = [_coerce(r) for r in requests]
         out: list = [None] * len(reqs)
         groups: dict[tuple[str, str], list[int]] = {}
-        path_positions: list[int] = []
         for i, r in enumerate(reqs):
-            if r.op == OP_PATH:
-                path_positions.append(i)
-            else:
-                groups.setdefault((r.scene, r.op), []).append(i)
-        # pinned access: LRU eviction under the byte bound must never
-        # free a scene while this batch is reading its matrix
+            groups.setdefault((r.scene, r.op), []).append(i)
         for (scene, op), positions in groups.items():
+            idx = self.store.get(scene)
             pairs = [(reqs[i].p, reqs[i].q) for i in positions]
-            with self.store.using(scene) as idx:
-                if op == OP_LENGTH:
-                    vals = idx.lengths(pairs)
-                    for k, i in enumerate(positions):
-                        out[i] = float(vals[k])
-                elif op == OP_MINLINK:
-                    counts = idx.link_counts(pairs)
-                    for k, i in enumerate(positions):
-                        if np.isfinite(counts[k]):
-                            out[i] = int(counts[k])
-                            self._m_link_count.observe(counts[k])
-                        else:  # enclosed point; keep the histogram finite
-                            out[i] = float("inf")
-                else:  # OP_PARETO
-                    fronts = idx.paretos(pairs)
-                    for k, i in enumerate(positions):
-                        out[i] = [
-                            (float(length), int(bends))
-                            for length, bends in fronts[k]
-                        ]
-                        self._m_pareto_points.observe(len(fronts[k]))
-        for i in path_positions:
-            r = reqs[i]
-            with self.store.using(r.scene) as idx:
-                out[i] = idx.shortest_path(r.p, r.q)
+            if op == OP_LENGTH:
+                vals = idx.lengths(pairs)
+                for k, i in enumerate(positions):
+                    out[i] = float(vals[k])
+            elif op == OP_MINLINK:
+                counts = idx.link_counts(pairs)
+                for k, i in enumerate(positions):
+                    if np.isfinite(counts[k]):
+                        out[i] = int(counts[k])
+                        self._m_link_count.observe(counts[k])
+                    else:  # enclosed point; keep the histogram finite
+                        out[i] = float("inf")
+            elif op == OP_PARETO:
+                fronts = idx.paretos(pairs)
+                for k, i in enumerate(positions):
+                    out[i] = [
+                        (float(length), int(bends)) for length, bends in fronts[k]
+                    ]
+                    self._m_pareto_points.observe(len(fronts[k]))
+            else:  # OP_PATH
+                for i, (p, q) in zip(positions, pairs):
+                    out[i] = idx.shortest_path(p, q)
         if reqs:
             self._m_batch.observe(len(reqs))
-        by_verb: dict[str, int] = {}
-        for r in reqs:
-            by_verb[r.op] = by_verb.get(r.op, 0) + 1
-        for verb, n in by_verb.items():
-            self._m_requests.inc(n, verb=verb)
-        with self._lock:
-            self.requests += len(reqs)
-            self.batches += 1
-            self.coalesced_groups += len(groups)
-            for positions in groups.values():
-                self.largest_group = max(self.largest_group, len(positions))
+        for (_, verb), positions in groups.items():
+            self._m_group.observe(len(positions))
+            self._m_requests.inc(len(positions), verb=verb)
         return out
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict:
-        with self._lock:
-            out = {
-                "requests": self.requests,
-                "batches": self.batches,
-                "coalesced_groups": self.coalesced_groups,
-                "largest_group": self.largest_group,
-            }
-        out["batch_size_hist"] = self._m_batch.size_hist()
-        return out
+        """Views of the registry: ``requests`` counts every answered query
+        (``lengths`` pairs included), ``batches`` the non-empty ``submit``
+        calls, and the two histograms their batch and group sizes."""
+        return {
+            "requests": int(self._m_requests.total()),
+            "batches": self._m_batch.summary()["count"],
+            "batch_size_hist": self._m_batch.size_hist(),
+            "group_size_hist": self._m_group.size_hist(),
+        }

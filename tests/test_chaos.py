@@ -364,10 +364,9 @@ class TestQuarantine:
         assert "checksum" in store.quarantines["a"]
         st = store.stats()
         assert st["quarantined"] == 1 and st["quarantined_scenes"] == ["a"]
-        # the demotion is permanent: evict + re-get rebuilds, does not
-        # re-touch (or double-quarantine) the artifact
-        assert store.evict("a")
-        assert store.get("a").length(vs[0], vs[-1]) == idx.length(vs[0], vs[-1])
+        # the rebuilt index is the scene's current one: a re-get neither
+        # re-touches nor double-quarantines the artifact
+        assert store.get("a") is got
         assert store.stats()["quarantined"] == 1
 
     def test_store_without_fallback_raises_after_quarantine(

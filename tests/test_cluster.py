@@ -296,6 +296,29 @@ class TestWorkerState:
         assert not out[1]["ok"] and "unknown scene" in out[1]["error"]
         assert out[0]["result"] == idx.length(vs[0], vs[-1])
 
+    @pytest.mark.parametrize(
+        "op", ["length", "lengths", "path", "minlink", "links", "pareto"]
+    )
+    def test_poisoned_batchmate_leaves_answers_unchanged(self, state, op):
+        """The per-request fallback is the coalesced path run on batches
+        of one: every verb answers exactly what its unpoisoned batch did."""
+        st, idx = state
+        vs = idx.vertices()
+        ends = [[list(vs[i]), list(vs[-1 - i])] for i in range(3)]
+        if op in ("lengths", "links"):
+            reqs = [{"op": op, "scene": "a", "pairs": ends[:2]},
+                    {"op": op, "scene": "a", "pairs": ends[2:]}]
+        else:
+            reqs = [{"op": op, "scene": "a", "p": p, "q": q} for p, q in ends]
+        clean = st.answer_batch(reqs)
+        assert all(r["ok"] for r in clean)
+        poison = {"op": op, "scene": "ghost", "p": [0, 0], "q": [1, 1],
+                  "pairs": [[[0, 0], [1, 1]]]}
+        mixed = st.answer_batch(reqs[:1] + [poison] + reqs[1:])
+        assert not mixed[1]["ok"] and "unknown scene" in mixed[1]["error"]
+        del mixed[1]
+        assert mixed == clean
+
     def test_unknown_op(self, state):
         st, _ = state
         out = st.answer_batch([{"op": "teleport", "scene": "a"}])

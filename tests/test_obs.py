@@ -555,7 +555,7 @@ class TestClusterObs:
                     "repro_frontend_latency_seconds_bucket",
                     "repro_worker_requests_total",
                     "repro_store_resident",
-                    "repro_server_requests",
+                    "repro_query_requests",
                 ):
                     assert needle in body, f"{needle} missing from scrape"
                 head404, _ = await http_get("/nope")

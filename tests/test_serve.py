@@ -3,6 +3,8 @@ batching query server, and their CLI entry points."""
 
 import io
 import json
+import os
+import sys
 import threading
 import time
 import zipfile
@@ -26,6 +28,7 @@ from repro.serve import (
     read_header,
     save,
 )
+from repro.serve.publish import SnapshotPublisher
 from repro.serve.snapshot import (
     NPZ_VERSION,
     RAW_MAGIC,
@@ -642,132 +645,104 @@ class TestSceneStore:
         assert got.rects == rects
         assert store.stats()["loads"] == 1
 
-    def test_lru_eviction_by_bytes(self, tmp_path):
-        store = SceneStore(max_bytes=1)  # every second scene overflows
-        store.add_scene("a", random_disjoint_rects(4, seed=1))
-        store.add_scene("b", random_disjoint_rects(4, seed=2))
-        a = store.get("a")
-        assert store.stats()["resident"] == 1
-        store.get("b")
-        # a was LRU and the budget is tiny: it must have been dropped
-        s = store.stats()
-        assert s["resident"] == 1
-        assert s["evictions"] == 1
-        assert "b" in store.resident() and "a" not in store.resident()
-        # re-materialization works and yields a fresh, equivalent index
-        a2 = store.get("a")
-        assert a2 is not a
-        assert a2.vertices() == a.vertices()
-
     def test_recently_used_scene_survives(self):
-        store = SceneStore(max_bytes=1 << 30)
+        store = SceneStore()
         store.add_scene("a", random_disjoint_rects(4, seed=1))
         store.add_scene("b", random_disjoint_rects(4, seed=2))
         store.get("a")
         store.get("b")
         assert sorted(store.resident()) == ["a", "b"]
 
-    def test_explicit_evict_and_clear(self):
-        store = SceneStore()
-        store.add_scene("a", random_disjoint_rects(4, seed=1))
-        assert not store.evict("a")  # not resident yet
-        store.get("a")
-        assert store.evict("a")
-        store.get("a")
-        store.clear_resident()
-        assert store.stats()["resident"] == 0
-
     def test_get_never_returns_none_under_eviction_pressure(self):
-        # a tiny budget forces every insert to evict the other scene;
-        # hammering get() from several threads must still always yield a
-        # real index (the lost-race branch re-materializes, never None)
-        store = SceneStore(max_bytes=1)
+        # replace_source drops a scene's index, the one way an index
+        # leaves the store; hammering get() from several threads while
+        # another thread keeps dropping both scenes must still always
+        # yield a real index (the lost-race branch re-materializes)
+        store = SceneStore()
         store.add_scene("a", random_disjoint_rects(3, seed=1))
         store.add_scene("b", random_disjoint_rects(3, seed=2))
+        rebuilt = {
+            n: ShortestPathIndex.build(random_disjoint_rects(3, seed=s))
+            for n, s in (("a", 1), ("b", 2))
+        }
         bad = []
+        done = threading.Event()
 
         def worker(name):
             for _ in range(25):
                 if store.get(name) is None:  # pragma: no cover - the bug
                     bad.append(name)
 
+        def dropper():
+            while not done.is_set():
+                for n, idx in rebuilt.items():
+                    store.replace_source(n, lambda idx=idx: idx)
+
         threads = [
             threading.Thread(target=worker, args=(n,)) for n in ("a", "b") * 3
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        drop = threading.Thread(target=dropper)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            drop.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(old)
+        drop.join(timeout=10)
+        assert not any(t.is_alive() for t in threads + [drop])
         assert not bad
 
-    def test_pin_blocks_eviction(self):
-        store = SceneStore(max_bytes=1)  # any insert overflows
-        store.add_scene("a", random_disjoint_rects(4, seed=1))
-        store.add_scene("b", random_disjoint_rects(4, seed=2))
-        a = store.pin("a")
-        assert store.stats()["pinned"] == 1
-        store.get("b")  # would evict "a" — but it is pinned
-        assert "a" in store.resident()
-        assert not store.evict("a")
-        store.clear_resident()
-        assert "a" in store.resident()  # clear_resident also respects pins
-        store.unpin("a")
-        assert store.stats()["pinned"] == 0
-        store.get("b")  # now the LRU rules apply again
-        assert "a" not in store.resident()
-        assert a.vertices()  # the pinned-era index stayed fully usable
-
-    def test_unpin_without_pin_raises(self):
-        store = SceneStore()
-        store.add_scene("a", random_disjoint_rects(3, seed=1))
-        with pytest.raises(QueryError, match="not pinned"):
-            store.unpin("a")
-
-    def test_using_context_manager_unpins_on_error(self):
-        store = SceneStore()
-        store.add_scene("a", random_disjoint_rects(3, seed=1))
-        with pytest.raises(RuntimeError):
-            with store.using("a"):
-                raise RuntimeError("boom")
-        assert store.stats()["pinned"] == 0
-
     def test_slow_reader_never_loses_its_scene(self):
-        """Regression: LRU eviction under the byte bound must not free a
-        scene an in-flight batch is still reading (the pre-pinning race:
-        get() returned an index, eviction dropped it, and a shm-backed
-        deployment would have unmapped the matrix mid-gather)."""
-        store = SceneStore(max_bytes=1)
-        store.add_scene("slow", random_disjoint_rects(5, seed=1))
-        store.add_scene("noisy", random_disjoint_rects(4, seed=2))
-        idx = store.get("slow")
+        """A reader's reference is its pin: a reader thread holding
+        generation N of a file-mapped snapshot keeps exact answers while
+        the store swaps and re-sources the scene and the publisher
+        unlinks generation N's file."""
+        idx = ShortestPathIndex.build(random_disjoint_rects(6, seed=1))
         vs = idx.vertices()
-        want = float(idx.lengths([(vs[0], vs[-1])])[0])
-        stop = threading.Event()
-        failures: list = []
+        pairs = [(vs[i], vs[-1 - i]) for i in range(len(vs) // 2)]
+        want = idx.lengths(pairs).tobytes()
+        got: list = []
+        reading, stop = threading.Event(), threading.Event()
+        with SnapshotPublisher() as pub:
+            store = SceneStore()
+            first = pub.publish("s", idx)
+            store.add_snapshot("s", first)
+            assert isinstance(store.get("s").index.matrix.base, np.memmap)
 
-        def reader():
-            try:
-                for _ in range(10):
-                    with store.using("slow") as pinned:
-                        # a deliberately slow read: the scene must stay
-                        # resident for the entire block
-                        time.sleep(0.01)
-                        assert "slow" in store.resident()
-                        assert float(pinned.lengths([(vs[0], vs[-1])])[0]) == want
-            except Exception as exc:  # pragma: no cover - failure capture
-                failures.append(exc)
-            finally:
-                stop.set()
+            def reader():
+                held = store.get("s")
+                while not stop.is_set():
+                    got.append(held.lengths(pairs).tobytes())
+                    reading.set()
+                    time.sleep(0.001)
+                got.append(held.lengths(pairs).tobytes())
 
-        t = threading.Thread(target=reader)
-        t.start()
-        # hammer the budget from the main thread: every get() of "noisy"
-        # tries to evict everything else
-        while not stop.is_set():
-            store.get("noisy")
-            store.evict("noisy")
-        t.join()
-        assert not failures
+            t = threading.Thread(target=reader)
+            t.start()
+            assert reading.wait(10)
+            for k in range(8):
+                nxt = ShortestPathIndex.build(random_disjoint_rects(6, seed=10 + k))
+                path = pub.republish("s", nxt)
+                if k % 2:
+                    store.swap("s", load(path))
+                else:
+                    store.replace_source("s", lambda path=path: load(path))
+                cur = store.get("s")
+                pub.release_retired("s")
+                assert store.generation("s") == k + 1
+                assert cur.lengths(pairs[:1]).tobytes() == nxt.lengths(pairs[:1]).tobytes()
+            assert not os.path.exists(first)
+            n_during = len(got)
+        stop.set()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert n_during > 1 and len(got) > n_during
+        assert all(g == want for g in got)
 
     def test_concurrent_get_builds_once(self):
         calls = []
@@ -824,10 +799,22 @@ class TestQueryServer:
         stats = server.stats()
         assert stats["requests"] == 5
         assert stats["batches"] == 1
-        assert stats["coalesced_groups"] == 2
-        assert stats["largest_group"] == 2
+        # (a, length) and (b, length) hold two requests, (a, path) one
+        assert stats["group_size_hist"] == {"1": 1, "2": 2}
         # batch-size histogram: one observation of a 5-request batch
         assert stats["batch_size_hist"] == {"5-8": 1}
+
+    def test_stats_are_views_of_the_registry(self):
+        store = SceneStore()
+        store.add_scene("a", random_disjoint_rects(6, seed=1))
+        reg = MetricsRegistry()
+        server = QueryServer(store, registry=reg)
+        va = store.get("a").vertices()
+        server.lengths("a", [(va[0], va[-1])] * 10)
+        server.submit([("a", va[1], va[-2])])
+        total = reg.counter("repro.query.requests", "", labels=("verb",)).total()
+        assert server.stats()["requests"] == 11 == total
+        assert server.stats()["batches"] == 1
 
     def test_batch_size_histogram_buckets(self, served):
         server, store = served

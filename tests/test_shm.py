@@ -3,7 +3,8 @@ private ``rsp-<pid>-<hex>`` directory (in ``/dev/shm`` where it exists)
 and workers map them read-only.  Covered here: publish/load equality
 under both ``fork`` and ``spawn``, one file per published index, release
 and close removing files, reaping the directory of a SIGKILLed
-publisher, and the store's byte accounting of mapped matrices."""
+publisher, and the store's loading of mapped files (one load per file,
+quarantine shared by aliases)."""
 
 import asyncio
 import json
@@ -20,7 +21,7 @@ from repro.errors import ClusterError, ReproError
 from repro.serve import publish
 from repro.serve.publish import SnapshotPublisher, list_published
 from repro.serve.snapshot import load, read_header, save
-from repro.serve.store import SceneStore, resident_bytes
+from repro.serve.store import SceneStore
 from repro.workloads.generators import (
     random_disjoint_rects,
     random_polygon_scene,
@@ -326,29 +327,6 @@ class TestLifecycle:
 
 
 class TestStoreIntegration:
-    def test_resident_bytes_discounts_shared_matrix(self):
-        idx = ShortestPathIndex.build(random_disjoint_rects(8, seed=12))
-        with SnapshotPublisher() as pub:
-            att = load(pub.publish("s", idx))
-            assert resident_bytes(att) < resident_bytes(idx)
-            assert resident_bytes(att) < idx.index.matrix.nbytes
-            copied = load(pub.path("s"), mmap=False)  # a private copy
-            assert resident_bytes(copied) > idx.index.matrix.nbytes
-
-    def test_store_evicts_and_reattaches(self):
-        idx = ShortestPathIndex.build(random_disjoint_rects(6, seed=13))
-        pairs = _sample_pairs(idx)
-        with SnapshotPublisher() as pub:
-            store = SceneStore()
-            register_scene(store, {"name": "s", "kind": "snapshot",
-                                   "path": pub.publish("s", idx)})
-            first = store.get("s")
-            assert store.evict("s")
-            second = store.get("s")
-            assert second is not first
-            assert idx.lengths(pairs).tobytes() == second.lengths(pairs).tobytes()
-            assert store.stats()["loads"] == 2
-
     def test_aliases_of_one_file_share_one_load(self):
         """Eight names published for one index are one file; a worker
         store loads and maps it once, not once per name."""
@@ -376,10 +354,6 @@ class TestStoreIntegration:
             assert store.stats()["loads"] == 1
             assert mappings() == one  # the seven aliases mapped nothing new
             assert got[0].lengths(pairs).tobytes() == idx.lengths(pairs).tobytes()
-            # an alias evicted alone re-materializes from its resident sibling
-            assert store.evict("c3")
-            assert store.get("c3") is got[0]
-            assert store.stats()["loads"] == 1
 
     def test_corrupt_file_quarantines_once_for_every_alias(self, tmp_path):
         """A corrupt file shared by two names is quarantined once, and

@@ -6,9 +6,8 @@ Three layers under test:
   rebuild of the mutated scene (root point order, exact integer matrix
   bytes, reported polylines) while actually reusing subtree work;
 * store — ``SceneStore.swap``/``replace_source`` generations: atomic
-  publish, pinned old generations retired until their pins drain,
-  bounded ``pin``, the ``leaked_pins`` detector, collision-safe snapshot
-  quarantine;
+  publish, an old generation kept alive by its reader's reference and by
+  nothing else, collision-safe snapshot quarantine;
 * cluster — the ``update`` protocol verb rolls a live 2-worker cluster
   to the next generation with no stale answers, including while a worker
   is being killed and respawned mid-rollover.
@@ -18,6 +17,7 @@ import asyncio
 import os
 import signal
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -173,36 +173,30 @@ class TestSceneStoreGenerations:
         assert store.get("s") is new
         assert store.stats()["swaps"] == 1
 
+    def _assert_freed_once_dropped(self, store, roll):
+        """Hold the current index, ``roll`` the scene, check the held
+        index still answers exactly, drop it, and check nothing else
+        kept it alive (reference counting frees it, no collector pass)."""
+        store.add_builder("s", lambda: self._idx(seed=1))
+        old = store.get("s")
+        vs = old.vertices()
+        pairs = [(vs[0], vs[-1]), (vs[1], vs[-2])]
+        want = old.lengths(pairs).tobytes()
+        roll()
+        assert store.get("s") is not old
+        assert old.lengths(pairs).tobytes() == want
+        ref = weakref.ref(old)
+        del old
+        assert ref() is None
+
     def test_pinned_old_generation_survives_swap(self):
+        """A reader's reference is its pin: the generation it holds stays
+        exact across a swap, and once it drops the index the store has
+        retained nothing of it."""
         store = SceneStore()
-        store.add_builder("s", lambda: self._idx(seed=1))
-        old = store.pin("s")
-        new = self._idx(seed=2)
-        store.swap("s", new)
-        # the reader's matrix is still intact and addressable
-        assert np.asarray(old.index.matrix).shape[0] > 0
-        leaks = store.leaked_pins()
-        assert "s" in leaks and leaks["s"][0][0] == 0 and leaks["s"][0][1] == 1
-        store.unpin("s", old)  # drains the retired generation
-        assert store.leaked_pins() == {}
-        assert store.stats()["retired_generations"] == 0
-
-    def test_unpin_without_index_prefers_live_then_retired(self):
-        store = SceneStore()
-        store.add_builder("s", lambda: self._idx(seed=1))
-        old = store.pin("s")
-        store.swap("s", self._idx(seed=2))
-        store.pin("s")  # new generation pin
-        store.unpin("s")  # live generation first
-        store.unpin("s")  # then the retired one
-        assert store.leaked_pins() == {}
-
-    def test_unpin_never_pinned_is_error(self):
-        store = SceneStore()
-        store.add_builder("s", lambda: self._idx(seed=1))
-        store.get("s")
-        with pytest.raises(QueryError, match="not pinned"):
-            store.unpin("s")
+        self._assert_freed_once_dropped(
+            store, lambda: store.swap("s", self._idx(seed=2))
+        )
 
     def test_replace_source_is_lazy(self):
         store = SceneStore()
@@ -217,46 +211,21 @@ class TestSceneStoreGenerations:
         gen = store.replace_source("s", builder)
         assert gen == 1
         assert built == []  # nothing materialized yet
-        assert store.resident().get("s") is None
+        assert "s" not in store.resident()
         store.get("s")
         assert built == [1]
 
     def test_replace_source_retires_pinned_resident(self):
         store = SceneStore()
-        store.add_builder("s", lambda: self._idx(seed=1))
-        old = store.pin("s")
-        store.replace_source("s", lambda: self._idx(seed=4))
-        assert store.leaked_pins() != {}
-        store.unpin("s", old)
-        assert store.leaked_pins() == {}
+        self._assert_freed_once_dropped(
+            store, lambda: store.replace_source("s", lambda: self._idx(seed=4))
+        )
 
     def test_swap_registers_unknown_scene(self):
         store = SceneStore()
         idx = self._idx(seed=5)
         gen = store.swap("fresh", idx)
         assert gen == 1 and store.get("fresh") is idx
-
-    def test_pin_is_bounded_under_eviction_races(self, monkeypatch):
-        store = SceneStore()
-        store.add_builder("s", lambda: self._idx(seed=1))
-        real_get = store.get
-
-        def hostile_get(name):
-            idx = real_get(name)
-            store.evict(name)  # every get loses the race
-            return idx
-
-        monkeypatch.setattr(store, "get", hostile_get)
-        with pytest.raises(QueryError, match="evicted"):
-            store.pin("s")
-
-    def test_leaked_pins_age_filter(self):
-        store = SceneStore()
-        store.add_builder("s", lambda: self._idx(seed=1))
-        store.pin("s")
-        store.swap("s", self._idx(seed=2))
-        assert store.leaked_pins(older_than_s=0.0) != {}
-        assert store.leaked_pins(older_than_s=3600.0) == {}
 
 
 class TestQuarantine:
