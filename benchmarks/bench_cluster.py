@@ -100,7 +100,6 @@ async def _measure_sleep(indexes, workers):
         workers=workers,
         pins=_pins(names, workers),
         max_batch=1,  # additive service time: no batching amortization
-        batch_window_ms=0.0,
         queue_depth=4 * CONNS,
     ) as fe:
         reqs = [
@@ -120,7 +119,6 @@ async def _measure_query(indexes, workers):
         scenes,
         workers=workers,
         pins=_pins(names, workers),
-        batch_window_ms=1.0,
         queue_depth=4 * CONNS,
     ) as fe:
         pools = await discover(fe.host, fe.port, seed=1)
@@ -158,7 +156,6 @@ async def _measure_obs_overhead(indexes):
             workers=2,
             pins=_pins(names, 2),
             max_batch=1,
-            batch_window_ms=0.0,
             queue_depth=4 * CONNS,
             obs=obs,
         )
@@ -228,7 +225,7 @@ async def _measure_private_bytes(idx, n_copies):
     """One worker, ``n_copies`` published copies of the same scene;
     returns the worker's memory counters after touching every scene."""
     scenes = {f"c{i}": {"index": idx} for i in range(n_copies)}
-    async with ClusterFrontend(scenes, workers=1, batch_window_ms=0.5) as fe:
+    async with ClusterFrontend(scenes, workers=1) as fe:
         pools = await discover(fe.host, fe.port, seed=3)
         # touch every scene: a bulk request per scene maps the published
         # file and reads matrix pages

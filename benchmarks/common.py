@@ -2,8 +2,8 @@
 
 Every benchmark prints and writes a table into ``benchmarks/results/``:
 one row per sweep point, with the measured quantity next to the paper's
-predicted scaling column, plus a fitted log-log slope.  EXPERIMENTS.md is
-the narrative index over these tables.
+predicted scaling column, plus a fitted log-log slope.  The README's
+"Performance notes" section is the narrative over these tables.
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ async def main() -> None:
     async with ClusterFrontend(
         {"campus": {"index": idx}, "depot": {"obstacles": depot}},
         workers=2,
-        batch_window_ms=1.0,
     ) as fe:
         print(f"cluster on {fe.host}:{fe.port}; scene -> worker: {fe.assignment}")
         print(f"published files: {sorted(os.listdir(fe.publisher.dir))}")

@@ -332,7 +332,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_batch=args.max_batch,
-            batch_window_ms=args.window_ms,
             queue_depth=args.queue_depth,
             pins=_parse_pins(args.pin),
             start_method=args.start_method,
@@ -944,9 +943,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cl.add_argument("--port", type=int, default=0,
                     help="TCP port (0 picks a free one; printed on startup)")
     cl.add_argument("--max-batch", type=int, default=64,
-                    help="micro-batch size cap per worker dispatch")
-    cl.add_argument("--window-ms", type=float, default=2.0,
-                    help="micro-batch time window")
+                    help="batch cap: first queued request + whatever is already queued")
     cl.add_argument("--queue-depth", type=int, default=256,
                     help="bounded per-worker queue; overflow is shed")
     cl.add_argument("--pin", action="append", default=[], metavar="SCENE=WID",

@@ -10,11 +10,12 @@ Data path::
   explicit pins).  When all workers are up this equals the static
   assignment; when one dies its scenes rendezvous onto the survivors and
   move back the moment a restart rejoins — no routing state to replay.
-* **Micro-batching** — each worker has one dispatch loop that drains its
-  queue into a batch bounded by ``max_batch`` and ``batch_window_ms``;
-  while the worker is busy answering, new arrivals pile into the queue,
-  so batches grow exactly when the system is loaded — the serving-side
-  analogue of the paper's build-side batching.
+* **Micro-batching** — each worker has one dispatch loop; a batch is the
+  first queued request plus whatever is *already* queued, capped by
+  ``max_batch``, with no timed wait for batchmates.  While the worker is
+  busy answering, new arrivals pile into the queue, so batches grow
+  exactly when the system is loaded — the serving-side analogue of the
+  paper's build-side batching of work that is already there.
 * **Admission control** — per-worker queues are bounded; when one is
   full the front-end answers ``{"ok": false, "shed": true, ...}``
   immediately (one line, no queuing).  Requests carrying ``deadline_ms``
@@ -192,7 +193,6 @@ class ClusterFrontend:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 64,
-        batch_window_ms: float = 2.0,
         queue_depth: int = 256,
         pins: Optional[Mapping[str, int]] = None,
         start_method: Optional[str] = None,
@@ -215,7 +215,6 @@ class ClusterFrontend:
         self.host = host
         self.port = port
         self.max_batch = max(1, max_batch)
-        self.batch_window = max(0.0, batch_window_ms) / 1e3
         self.queue_depth = queue_depth
         self.pins = dict(pins or {})
         self.start_method = start_method
@@ -484,14 +483,11 @@ class ClusterFrontend:
                     continue
                 self._trace_dequeue(item)
                 batch = [item]
-                deadline = loop.time() + self.batch_window
+                # take only what is already queued: never wait for batchmates
                 while len(batch) < self.max_batch:
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        break
                     try:
-                        got = await asyncio.wait_for(worker.queue.get(), timeout)
-                    except asyncio.TimeoutError:
+                        got = worker.queue.get_nowait()
+                    except asyncio.QueueEmpty:
                         break
                     if not self._expire_if_late(got):
                         self._trace_dequeue(got)

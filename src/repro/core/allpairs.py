@@ -27,7 +27,7 @@ Correctness skeleton (mirrors §4's lemma toolkit):
 
 The per-node core candidate set is ``O(n_v)``, so interfaces grow only
 additively along a root-leaf path; measured totals are reported in
-EXPERIMENTS.md E3.
+``benchmarks/results/E3_allpairs_build.txt``.
 
 Executors
 ---------

@@ -4,7 +4,7 @@ All generators produce pairwise-disjoint rectangles with globally distinct
 edge coordinates (the paper's general-position assumption, §1), are fully
 deterministic given a seed, and scale the world with ``n`` so that density
 stays roughly constant across a sweep — which is what makes the measured
-scaling exponents in EXPERIMENTS.md meaningful.
+scaling exponents in ``benchmarks/results/`` meaningful.
 
 Modes
 -----

@@ -417,7 +417,7 @@ class TestClusterEndToEnd:
             scenes = {
                 name: {"obstacles": rects} for name, (rects, _) in scene_data.items()
             }
-            async with ClusterFrontend(scenes, workers=2, batch_window_ms=1.0) as fe:
+            async with ClusterFrontend(scenes, workers=2) as fe:
                 msgs, want = [], []
                 for name, (_, idx) in scene_data.items():
                     vs = idx.vertices()
@@ -536,7 +536,6 @@ class TestClusterEndToEnd:
                 workers=1,
                 queue_depth=1,
                 max_batch=1,
-                batch_window_ms=0.0,
             ) as fe:
                 reader, writer = await asyncio.open_connection(fe.host, fe.port)
                 n = 10
@@ -839,6 +838,118 @@ class TestClusterEndToEnd:
 
 
 # ----------------------------------------------------------------------
+def _batch_sizes(fe):
+    """(batches sent, requests sent, size buckets) from the front-end's
+    ``repro.frontend.batch_size`` histogram."""
+    series = fe.registry.snapshot()["repro.frontend.batch_size"]["series"]
+    hist = fe.registry.histogram(
+        "repro.frontend.batch_size", labels=["worker"], buckets=DEFAULT_SIZE_BUCKETS
+    )
+    return (
+        sum(s["count"] for s in series),
+        int(sum(s["sum"] for s in series)),
+        hist.size_hist(),
+    )
+
+
+class TestDispatchRule:
+    """A batch is the first queued request plus whatever is already
+    queued, capped by ``max_batch``.  Requests are admitted while one
+    ``sleep`` holds the only worker, all in one event-loop step, so the
+    queue contents at dispatch time are fixed: no test depends on timing."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        rects = random_disjoint_rects(6, seed=3)
+        return rects, ShortestPathIndex.build(rects)
+
+    @staticmethod
+    async def _on_pipe(fe):
+        """Whether the worker has a batch on the pipe within a few loop
+        steps: no timer may stand between an idle worker's queue and it."""
+        for _ in range(10):
+            if fe.workers[0].inflight:
+                return True
+            await asyncio.sleep(0)
+        return False
+
+    async def _hold(self, fe, ms=300):
+        """Send one ``sleep`` and return once its batch is on the pipe."""
+        _, fut = fe._admit({"id": "hold", "op": "sleep", "scene": "a", "ms": ms})
+        assert await self._on_pipe(fe)
+        return fut
+
+    @staticmethod
+    def _lengths(idx, k, **extra):
+        vs = idx.vertices()
+        msgs = [
+            {"id": i, "op": "length", "scene": "a",
+             "p": list(vs[i % len(vs)]), "q": list(vs[-1 - i % len(vs)]), **extra}
+            for i in range(k)
+        ]
+        want = [idx.length(tuple(m["p"]), tuple(m["q"])) for m in msgs]
+        return msgs, want
+
+    @pytest.mark.parametrize(
+        "max_batch,k,buckets",
+        [
+            (64, 8, {"1": 1, "5-8": 1}),  # the sleep, then one batch of 8
+            (3, 8, {"1": 1, "2": 1, "3-4": 2}),  # 3 + 3 + 2
+            (4, 8, {"1": 1, "3-4": 2}),  # 4 + 4
+        ],
+    )
+    def test_queued_requests_go_out_together(self, scene, max_batch, k, buckets):
+        rects, idx = scene
+
+        async def run():
+            async with ClusterFrontend(
+                {"a": {"obstacles": rects}}, workers=1, max_batch=max_batch
+            ) as fe:
+                hold = await self._hold(fe)
+                msgs, want = self._lengths(idx, k)
+                futs = [fe._admit(m)[1] for m in msgs]
+                assert fe.workers[0].queue.qsize() == k
+                held, *res = await asyncio.gather(hold, *futs)
+                assert held["ok"]
+                assert [r["result"] for r in res] == want
+                n_batches = -(-k // max_batch)
+                assert _batch_sizes(fe) == (1 + n_batches, 1 + k, buckets)
+        asyncio.run(run())
+
+    def test_expired_request_is_answered_and_never_sent(self, scene):
+        rects, idx = scene
+
+        async def run():
+            async with ClusterFrontend({"a": {"obstacles": rects}}, workers=1) as fe:
+                hold = await self._hold(fe, ms=300)
+                (live0, live1), want = self._lengths(idx, 2)
+                (late0, late1), _ = self._lengths(idx, 2, deadline_ms=1)
+                # an expired head is dropped before the drain starts, an
+                # expired batchmate inside it
+                futs = [fe._admit(m)[1] for m in (late0, live0, late1, live1)]
+                _, r_late0, r_live0, r_late1, r_live1 = await asyncio.gather(hold, *futs)
+                for r in (r_late0, r_late1):
+                    assert r["deadline_expired"] and not r["ok"]
+                assert [r_live0["result"], r_live1["result"]] == want
+                count, sent, _ = _batch_sizes(fe)
+                assert (count, sent) == (2, 3)  # the sleep, then both live ones
+                assert fe.scene_metrics["a"].deadline_expired == 2
+        asyncio.run(run())
+
+    def test_lone_request_on_idle_cluster_is_a_batch_of_one(self, scene):
+        rects, idx = scene
+
+        async def run():
+            async with ClusterFrontend({"a": {"obstacles": rects}}, workers=1) as fe:
+                (msg,), want = self._lengths(idx, 1)
+                _, fut = fe._admit(msg)
+                assert await self._on_pipe(fe)
+                assert fe.workers[0].inflight == 1
+                assert (await fut)["result"] == want[0]
+                assert _batch_sizes(fe) == (1, 1, {"1": 1})
+        asyncio.run(run())
+
+
 class TestClusterCLI:
     def test_cluster_and_loadgen_cli(self, tmp_path):
         """The CI smoke flow in miniature: start `python -m repro cluster`
@@ -910,7 +1021,7 @@ class TestClusterCLI:
                 [
                     "cluster", str(scene), "--workers", "1",
                     "--ready-file", str(ready), "--duration", "6",
-                    "--window-ms", "0.5", "--pin", "s=0",
+                    "--pin", "s=0",
                 ]
             )
 

@@ -50,7 +50,7 @@ class TestLargeAgreement:
 class TestScalingShape:
     def test_work_scales_subcubically(self):
         """Doubling n multiplies work by < 8 (strictly subcubic; the
-        measured exponent is ~2.6, see EXPERIMENTS.md E3)."""
+        measured exponent is ~2.7, see benchmarks/results/E3_allpairs_build.txt)."""
         works = []
         for n in (24, 48):
             pram = PRAM()
