@@ -60,7 +60,6 @@ from repro.geometry.decompose import (
     staircase_clear_of_seams,
 )
 from repro.geometry.primitives import Point, Rect, bbox_of_points, dist, validate_disjoint
-from repro.geometry.rayshoot import RayShooter
 from repro.geometry.staircase import Staircase
 from repro.monge.matrix import MongeFlag
 from repro.monge.multiply import minplus_auto, minplus_monge, minplus_naive
@@ -251,6 +250,38 @@ class DistanceIndex:
 def _arc_pos(p: Point, increasing: bool) -> int:
     """Arc-length parameter along a monotone staircase (x+y or x−y)."""
     return p[0] + p[1] if increasing else p[0] - p[1]
+
+
+def _halves(pts, rows_u, rows_l, upper, lower, zs):
+    """What every conquer starts from: the node matrix over ``pts`` with
+    each child's same-side block in place (Containment), the row/column
+    selections of the two sides in it, and the distance blocks upper
+    point → separator (``DU``) and separator → lower point (``DL``)."""
+    (ptsU, matU), (ptsL, matL) = upper, lower
+    iu = {p: i for i, p in enumerate(ptsU)}
+    il = {p: i for i, p in enumerate(ptsL)}
+    pidx = {p: i for i, p in enumerate(pts)}
+    uid = [iu[p] for p in rows_u]
+    lid = [il[p] for p in rows_l]
+    sel_u = [pidx[p] for p in rows_u]
+    sel_l = [pidx[p] for p in rows_l]
+    out = np.full((len(pts), len(pts)), INF)
+    out[np.ix_(sel_u, sel_u)] = matU[np.ix_(uid, uid)]
+    out[np.ix_(sel_l, sel_l)] = np.minimum(
+        out[np.ix_(sel_l, sel_l)], matL[np.ix_(lid, lid)]
+    )
+    DU = matU[np.ix_(uid, [iu[z] for z in zs])]
+    DL = matL[np.ix_([il[z] for z in zs], lid)]
+    return out, (sel_u, sel_l), DU, DL
+
+
+def _join(out: np.ndarray, sel: tuple, cross: np.ndarray) -> np.ndarray:
+    """Fold the cross block into both off-diagonal blocks of ``out``."""
+    sel_u, sel_l = sel
+    out[np.ix_(sel_u, sel_l)] = np.minimum(out[np.ix_(sel_u, sel_l)], cross)
+    out[np.ix_(sel_l, sel_u)] = out[np.ix_(sel_u, sel_l)].T
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 class Fork:
@@ -480,7 +511,7 @@ class ParallelEngine:
             [p for p in pts if side_of[p] >= 0] + zs))
         lo_iface = list(dict.fromkeys(
             [p for p in pts if side_of[p] <= 0] + zs))
-        (ptsU, matU), (ptsL, matL) = yield Fork(
+        upper, lower = yield Fork(
             pram,
             [
                 lambda m, ui=upper_idx, si=up_iface: self._solve(ui, si, m, depth + 1),
@@ -490,12 +521,12 @@ class ParallelEngine:
         chain_sig = (chain.pts, chain.increasing, chain.left_dir, chain.right_dir)
         delta = self._try_delta_conquer(
             pts, side_of, chain, chain_sig, zs, sub_rects, rect_idx,
-            upper_idx, lower_idx, (ptsU, matU), (ptsL, matL), pram,
+            upper_idx, lower_idx, upper, lower, pram,
         )
         if delta is not None:
             return delta, (chain_sig, tuple(zs))
         out = yield from self._conquer(
-            pts, side_of, chain, zs, sub_rects, (ptsU, matU), (ptsL, matL), pram
+            pts, side_of, chain, zs, sub_rects, upper, lower, pram
         )
         return out, (chain_sig, tuple(zs))
 
@@ -664,8 +695,6 @@ class ParallelEngine:
         old_child = self._sub_cache.get(self._old_subtree_key(dirty_idx))
         if old_child is None:
             return None
-        ptsU, matU = upper
-        ptsL, matL = lower
         rows_u = [p for p in pts if side_of[p] >= 0]
         rows_l = [p for p in pts if side_of[p] <= 0]
         dirty_rows = rows_u if side > 0 else rows_l
@@ -673,24 +702,7 @@ class ParallelEngine:
             z not in old_child.index for z in zs
         ):
             return None
-        iu = {p: i for i, p in enumerate(ptsU)}
-        il = {p: i for i, p in enumerate(ptsL)}
-        m = len(pts)
-        pidx = {p: i for i, p in enumerate(pts)}
-        out = np.full((m, m), INF)
-        uid = [iu[p] for p in rows_u]
-        lid = [il[p] for p in rows_l]
-        sel_u = [pidx[p] for p in rows_u]
-        sel_l = [pidx[p] for p in rows_l]
-        out[np.ix_(sel_u, sel_u)] = matU[np.ix_(uid, uid)]
-        out[np.ix_(sel_l, sel_l)] = np.minimum(
-            out[np.ix_(sel_l, sel_l)], matL[np.ix_(lid, lid)]
-        )
-        t = np.array([_arc_pos(z, chain.increasing) for z in zs], dtype=float)
-        zu = [iu[z] for z in zs]
-        zl = [il[z] for z in zs]
-        DU = matU[np.ix_(uid, zu)]
-        DL = matL[np.ix_(zl, lid)]
+        out, sel, DU, DL = _halves(pts, rows_u, rows_l, upper, lower, zs)
         cross = old_entry.matrix[
             np.ix_(
                 [old_entry.index[p] for p in rows_u],
@@ -713,16 +725,12 @@ class ParallelEngine:
             imp = minplus_naive(DU[:, changed], DL[changed, :], pram)
             np.minimum(cross, imp, out=cross)
         cross = self._apply_projection_specials(
-            cross, rows_u, rows_l, chain, zs, t, DU, DL, sub_rects, pram
+            cross, rows_u, rows_l, chain, zs, DU, DL, sub_rects, pram
         )
-        cur = out[np.ix_(sel_u, sel_l)]
-        out[np.ix_(sel_u, sel_l)] = np.minimum(cur, cross)
-        out[np.ix_(sel_l, sel_u)] = out[np.ix_(sel_u, sel_l)].T
-        np.fill_diagonal(out, 0.0)
         pram.charge(time=2, work=cross.size + old_D.size, width=cross.size)
         self.stats.delta_conquers += 1
         self.stats.conquer_pairs += len(rows_u) * len(rows_l)
-        return pts, out
+        return pts, _join(out, sel, cross)
 
     def _store_entry(
         self,
@@ -800,25 +808,32 @@ class ParallelEngine:
             # to-separator functions, so they must be candidate generators
             xs_set.add(s.x)
             ys_set.update((s.ylo, s.yhi))
-        xs = sorted(xs_set)
-        ys = sorted(ys_set)
-        out: dict[Point, None] = {}
-        for x in xs:
-            for p in chain.crossings_with_vline(x):
-                if ylo <= p[1] <= yhi:
-                    out.setdefault(p, None)
-        for y in ys:
-            for p in chain.crossings_with_hline(y):
-                if xlo <= p[0] <= xhi:
-                    out.setdefault(p, None)
-        for p in chain.clip_points_to_bbox(xlo, ylo, xhi, yhi):
-            out.setdefault(p, None)
+        xs = np.array(sorted(xs_set), dtype=float)
+        ys = np.array(sorted(ys_set), dtype=float)
+        corners = np.array(
+            chain.clip_points_to_bbox(xlo, ylo, xhi, yhi), dtype=float
+        ).reshape(-1, 2)
+        cx, cy = [corners[:, 0]], [corners[:, 1]]
+        # each line's lower, then upper crossing
+        for y_at in chain.line_crossings(True, xs):
+            keep = (ylo <= y_at) & (y_at <= yhi)  # NaN (absent) drops out
+            cx.append(xs[keep])
+            cy.append(y_at[keep])
+        for x_at in chain.line_crossings(False, ys):
+            keep = (xlo <= x_at) & (x_at <= xhi)
+            cx.append(x_at[keep])
+            cy.append(ys[keep])
+        cx, cy = np.concatenate(cx), np.concatenate(cy)
+        # arc position is one-to-one on the chain: dedupe and order at once
+        _, first = np.unique(
+            cx + cy if chain.increasing else cx - cy, return_index=True
+        )
+        zs = [(int(x), int(y)) for x, y in zip(cx[first].tolist(), cy[first].tolist())]
         pram.charge(
             time=pram.log2ceil(len(xs) + len(ys) + 1),
             work=2 * (len(xs) + len(ys)) + len(chain.pts),
             width=len(xs) + len(ys),
         )
-        zs = sorted(out, key=lambda p: _arc_pos(p, chain.increasing))
         cid = self._fresh_chain_id()
         for k, z in enumerate(zs):
             self._chain_tags.setdefault(z, (cid, k))
@@ -837,40 +852,16 @@ class ParallelEngine:
         lower: tuple[list[Point], np.ndarray],
         pram: PRAM,
     ):
-        ptsU, matU = upper
-        ptsL, matL = lower
-        iu = {p: i for i, p in enumerate(ptsU)}
-        il = {p: i for i, p in enumerate(ptsL)}
-        m = len(pts)
-        pidx = {p: i for i, p in enumerate(pts)}
-        out = np.full((m, m), INF)
         rows_u = [p for p in pts if side_of[p] >= 0]
         rows_l = [p for p in pts if side_of[p] <= 0]
-        # same-side pairs come straight from the children (Containment)
-        uid = [iu[p] for p in rows_u]
-        lid = [il[p] for p in rows_l]
-        sel_u = [pidx[p] for p in rows_u]
-        sel_l = [pidx[p] for p in rows_l]
-        out[np.ix_(sel_u, sel_u)] = matU[np.ix_(uid, uid)]
-        out[np.ix_(sel_l, sel_l)] = np.minimum(
-            out[np.ix_(sel_l, sel_l)], matL[np.ix_(lid, lid)]
-        )
         self.stats.conquer_pairs += len(rows_u) * len(rows_l)
+        out, sel, DU, DL = _halves(pts, rows_u, rows_l, upper, lower, zs)
         # cross pairs through the separator
-        t = np.array([_arc_pos(z, chain.increasing) for z in zs], dtype=float)
-        zu = [iu[z] for z in zs]
-        zl = [il[z] for z in zs]
-        DU = matU[np.ix_(uid, zu)]  # upper-side point -> separator
-        DL = matL[np.ix_(zl, lid)]  # separator -> lower-side point
         cross = yield from self._cross_product(DU, DL, rows_l, pram)
         cross = self._apply_projection_specials(
-            cross, rows_u, rows_l, chain, zs, t, DU, DL, sub_rects, pram
+            cross, rows_u, rows_l, chain, zs, DU, DL, sub_rects, pram
         )
-        cur = out[np.ix_(sel_u, sel_l)]
-        out[np.ix_(sel_u, sel_l)] = np.minimum(cur, cross)
-        out[np.ix_(sel_l, sel_u)] = out[np.ix_(sel_u, sel_l)].T
-        np.fill_diagonal(out, 0.0)
-        return pts, out
+        return pts, _join(out, sel, cross)
 
     # ------------------------------------------------------------------
     def _cross_product(
@@ -932,7 +923,6 @@ class ParallelEngine:
         rows_l: list[Point],
         chain: Staircase,
         zs: list[Point],
-        t: np.ndarray,
         DU: np.ndarray,
         DL: np.ndarray,
         sub_rects: list[Rect],
@@ -940,33 +930,25 @@ class ParallelEngine:
     ) -> np.ndarray:
         """Per-pair candidates (c): each endpoint's own visible grid-line
         projections onto the separator (see module docstring)."""
-        shooter = RayShooter(sub_rects)
-        su = _projection_table(rows_u, chain, shooter, toward=-1, seams=self.seams)
-        sl = _projection_table(rows_l, chain, shooter, toward=+1, seams=self.seams)
+        boxes = np.array(
+            [(r.xlo, r.ylo, r.xhi, r.yhi) for r in sub_rects], dtype=float
+        ).reshape(-1, 4)
+        su = _projection_table(rows_u, chain, boxes, seams=self.seams)
+        sl = _projection_table(rows_l, chain, boxes, seams=self.seams)
         pram.step(2 * (len(rows_u) + len(rows_l)))
+        t = np.array([_arc_pos(z, chain.increasing) for z in zs], dtype=float)
         nz = len(zs)
-        # (i) upper special -> neighbouring core z -> lower point
-        for k in range(su.t.shape[1]):
-            valid = np.isfinite(su.val[:, k])
-            if not valid.any():
-                continue
-            pos = np.searchsorted(t, su.t[:, k])
-            for nb in (np.clip(pos - 1, 0, nz - 1), np.clip(pos, 0, nz - 1)):
-                base = su.val[:, k] + np.abs(su.t[:, k] - t[nb])
-                cand = base[:, None] + DL[nb, :]
-                cand[~valid, :] = INF
-                np.minimum(cross, cand, out=cross)
-        # (ii) upper point -> neighbouring core z -> lower special
-        for k in range(sl.t.shape[1]):
-            valid = np.isfinite(sl.val[:, k])
-            if not valid.any():
-                continue
-            pos = np.searchsorted(t, sl.t[:, k])
-            for nb in (np.clip(pos - 1, 0, nz - 1), np.clip(pos, 0, nz - 1)):
-                base = sl.val[:, k] + np.abs(sl.t[:, k] - t[nb])
-                cand = DU[:, nb] + base[None, :]
-                cand[:, ~valid] = INF
-                np.minimum(cross, cand, out=cross)
+        # (i) upper special -> neighbouring core z -> lower point, and
+        # (ii) its mirror: upper point -> core z -> lower special
+        for spec, dz, out in ((su, DL, cross), (sl, DU.T, cross.T)):
+            for k in range(2):
+                if np.isinf(spec.val[:, k]).all():
+                    continue
+                pos = np.searchsorted(t, spec.t[:, k])
+                for nb in (np.clip(pos - 1, 0, nz - 1), np.clip(pos, 0, nz - 1)):
+                    # a blocked special has val = inf, so its row stays inf
+                    base = spec.val[:, k] + np.abs(spec.t[:, k] - t[nb])
+                    np.minimum(out, base[:, None] + dz[nb, :], out=out)
         # (iii) upper special -> lower special directly along the chain
         for k in range(su.t.shape[1]):
             for l in range(sl.t.shape[1]):
@@ -982,58 +964,79 @@ class ParallelEngine:
 
 @dataclass
 class _Specials:
-    t: np.ndarray  # (m, 2) arc positions (inf when absent)
+    t: np.ndarray  # (m, 2) arc positions (0 when absent)
     val: np.ndarray  # (m, 2) straight distances (inf when blocked/absent)
+
+
+#: point × obstacle cells compared at once by :func:`_views_blocked`
+_VIEW_CELLS = 1 << 16
 
 
 def _projection_table(
     points: list[Point],
     chain: Staircase,
-    shooter: RayShooter,
-    toward: int,
+    boxes: np.ndarray,
     seams: Sequence = (),
 ) -> _Specials:
     """For each point: its vertical and horizontal grid-line crossings with
     the separator, with straight L1 distance when the view is clear.
 
-    ``toward=-1`` means the points are on the chain's +1 side and look
-    toward it (down for the vertical projection of an upper point, etc.).
-    A vertical view must additionally clear the polygon seams — it could
-    run straight along one (horizontal views can only cross seams, which
-    the rectangle shooter already blocks via the flanking tiles).
+    ``boxes`` holds the node's obstacles as ``(xlo, ylo, xhi, yhi)`` rows.
+    Of a line's (up to two) crossings the nearer one is taken, the lower
+    on a tie.  A vertical view must additionally clear the polygon seams
+    — it could run straight along one (horizontal views can only cross
+    seams, which the flanking tiles already block).
     """
     m = len(points)
-    tarr = np.full((m, 2), 0.0)
+    tarr = np.zeros((m, 2))
     varr = np.full((m, 2), INF)
-    inc = chain.increasing
-    for i, p in enumerate(points):
-        for k, crossings in enumerate(
-            (chain.crossings_with_vline(p[0]), chain.crossings_with_hline(p[1]))
-        ):
-            if not crossings:
-                continue
-            # nearest crossing on the segment from p toward the chain
-            z = min(crossings, key=lambda c: dist(p, c))
-            tarr[i, k] = _arc_pos(z, inc)
-            d = dist(p, z)
-            if d == 0:
-                varr[i, k] = 0.0
-                continue
-            if k == 0 and seams and seams_block_v_segment(
-                seams, p[0], p[1], z[1]
-            ):
-                continue
-            direction = _dir_toward(p, z)
-            hit = shooter.shoot(p, direction)
-            if hit is None or dist(p, hit.point) >= d:
-                varr[i, k] = float(d)
+    p = np.array(points, dtype=float).reshape(m, 2)
+    sign = 1.0 if chain.increasing else -1.0
+    for k in (0, 1):  # 0: the vertical line through p, 1: the horizontal
+        across, along = p[:, k], p[:, 1 - k]
+        lo, hi = chain.line_crossings(k == 0, across)
+        z = np.where(np.isnan(hi) | (np.abs(along - lo) <= np.abs(along - hi)), lo, hi)
+        found = ~np.isnan(z)
+        arc = across + sign * z if k == 0 else z + sign * across
+        tarr[found, k] = arc[found]
+        d = np.abs(along - z)
+        clear = d == 0
+        look = np.flatnonzero(d > 0)
+        open_ = ~_views_blocked(boxes, k, across[look], along[look], z[look])
+        if k == 0 and seams:
+            open_ &= np.array([
+                not seams_block_v_segment(seams, points[i][0], points[i][1], z[i])
+                for i in look
+            ], dtype=bool)
+        clear[look[open_]] = True
+        varr[clear, k] = d[clear]
     return _Specials(tarr, varr)
 
 
-def _dir_toward(p: Point, z: Point) -> str:
-    if p[0] == z[0]:
-        return "N" if z[1] > p[1] else "S"
-    return "E" if z[0] > p[0] else "W"
+def _views_blocked(
+    boxes: np.ndarray, k: int, across: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> np.ndarray:
+    """Whether each axis-parallel view from ``start`` to ``stop`` (along
+    y for ``k == 0``, along x for ``k == 1``, at ``across`` on the other
+    axis) is cut by an obstacle — exactly when :meth:`RayShooter.shoot`
+    from the start toward the stop would land short of it.
+
+    An obstacle cuts the view when its *open* extent across the view
+    contains ``across`` (a view grazing an edge is clear) and its near
+    edge lies ``g`` ahead with ``0 <= g < |stop - start|`` (a view starting
+    on an obstacle's near boundary is cut at distance 0)."""
+    lo_a, hi_a = boxes[:, k], boxes[:, k + 2]
+    ahead = stop > start
+    out = np.zeros(len(start), dtype=bool)
+    step = max(1, _VIEW_CELLS // max(1, len(boxes)))
+    for r0 in range(0, len(start), step):
+        r = slice(r0, r0 + step)
+        c, s, fwd = across[r, None], start[r, None], ahead[r, None]
+        gap = np.where(fwd, boxes[:, 1 - k] - s, s - boxes[:, 3 - k])
+        cut = (lo_a < c) & (c < hi_a) & (gap >= 0)
+        cut &= gap < np.abs(stop[r] - start[r])[:, None]
+        out[r] = cut.any(axis=1)
+    return out
 
 
 def build_vertex_index(

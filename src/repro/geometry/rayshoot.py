@@ -135,13 +135,6 @@ class RayShooter:
         edge = _edge_of(r, _HIT_EDGE[direction])
         return Hit(rect_index=idx, point=hit, edge=edge)
 
-    def first_hit_coordinate(self, p: Point, direction: str) -> Optional[int]:
-        """Just the axis coordinate of the hit (y for N/S, x for E/W)."""
-        h = self.shoot(p, direction)
-        if h is None:
-            return None
-        return h.point[1] if direction in ("N", "S") else h.point[0]
-
 
 def _edge_of(r: Rect, which: str) -> tuple[Point, Point]:
     if which == "bottom":

@@ -17,7 +17,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.primitives import Point, Rect, Transform, dist
@@ -42,15 +45,11 @@ def _drop_collinear(pts: list[Point]) -> list[Point]:
         return pts
     out = [pts[0]]
     for p in pts[1:-1]:
-        a = out[-1]
-        # peek next retained direction by comparing with the following point
         out.append(p)
         if len(out) >= 3:
-            b, c = out[-3], out[-1]
-            m = out[-2]
+            b, m, c = out[-3], out[-2], out[-1]
             if (b[0] == m[0] == c[0]) or (b[1] == m[1] == c[1]):
                 del out[-2]
-        del a
     out.append(pts[-1])
     if len(out) >= 3:
         b, m, c = out[-3], out[-2], out[-1]
@@ -122,10 +121,6 @@ class Staircase:
     def endpoints(self) -> tuple[Point, Point]:
         return self.pts[0], self.pts[-1]
 
-    def reverse_oriented(self) -> "Staircase":
-        """The same staircase (orientation is canonical; returns self)."""
-        return self
-
     # ------------------------------------------------------------------
     def y_range_at_x(self, x: int) -> Optional[tuple[float, float]]:
         """The (min y, max y) of the staircase on the vertical line at ``x``,
@@ -165,45 +160,56 @@ class Staircase:
 
     def x_range_at_y(self, y: int) -> Optional[tuple[float, float]]:
         """Symmetric to :meth:`y_range_at_x` (horizontal line)."""
-        pts = self.pts
-        ys = [p[1] for p in pts]
-        if self.increasing:
-            ylo, yhi = ys[0], ys[-1]
-        else:
-            ylo, yhi = ys[-1], ys[0]
-        covered_low = None
-        if y < ylo:
-            d = self.left_dir if self.increasing else self.right_dir
-            if d == "S":
-                x = pts[0][0] if self.increasing else pts[-1][0]
-                return (x, x)
-            return None
-        if y > yhi:
-            d = self.right_dir if self.increasing else self.left_dir
-            if d == "N":
-                x = pts[-1][0] if self.increasing else pts[0][0]
-                return (x, x)
-            return None
-        del covered_low
-        xs_hit: list[float] = []
-        for i, p in enumerate(pts):
-            if p[1] == y:
-                xs_hit.append(p[0])
-            if i + 1 < len(pts):
-                q = pts[i + 1]
-                lo, hi = min(p[1], q[1]), max(p[1], q[1])
-                if lo < y < hi:  # strictly inside a vertical segment
-                    xs_hit.append(p[0])
-        if not xs_hit:
-            return None  # can happen only at gaps which monotone chains lack
-        xmin: float = min(xs_hit)
-        xmax: float = max(xs_hit)
-        first_y, last_y = pts[0][1], pts[-1][1]
-        if y == first_y and self.left_dir == "W":
-            xmin = NEG
-        if y == last_y and self.right_dir == "E":
-            xmax = POS
-        return (xmin, xmax)
+        lo, hi = self._line_ranges(False, np.array([y], dtype=float))
+        return None if np.isnan(lo[0]) else (float(lo[0]), float(hi[0]))
+
+    @cached_property
+    def _corners(self) -> np.ndarray:
+        return np.array(self.pts, dtype=float).reshape(-1, 2)
+
+    def _line_ranges(self, vertical: bool, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`y_range_at_x` (``vertical``) or
+        :meth:`x_range_at_y`: the (min, max) of the chain's other
+        coordinate on each line ``q``, NaN where the line misses it.
+
+        The corners are sorted along the line-crossing axis ``a`` (x for
+        vertical lines, y for horizontal ones), so the corners on a line
+        are one ``searchsorted`` run, and a line between two corners
+        crosses the segment joining them.  An end ray parallel to ``a``
+        carries the end corner's other coordinate past the chain's end; a
+        perpendicular one makes the range unbounded on the end corner's
+        own line."""
+        ax = 0 if vertical else 1
+        pts = self._corners
+        ends = [self.left_dir, self.right_dir]
+        if not vertical and not self.increasing:
+            pts = pts[::-1]
+            ends.reverse()
+        a, b = pts[:, ax], pts[:, 1 - ax]
+        lo = np.searchsorted(a, q, "left")
+        hi = np.searchsorted(a, q, "right")
+        on = hi > lo
+        b0 = b[np.where(on, lo, lo - 1).clip(0, len(a) - 1)]
+        b1 = b[np.where(on, hi - 1, lo - 1).clip(0, len(a) - 1)]
+        rmin, rmax = np.minimum(b0, b1), np.maximum(b0, b1)
+        for d, end, beyond in ((ends[0], a[0], q < a[0]), (ends[1], a[-1], q > a[-1])):
+            vec = _RAY_VECTOR.get(d, (0, 0))
+            if not vec[ax]:  # no ray continues past this end
+                rmin[beyond] = rmax[beyond] = np.nan
+            if vec[1 - ax] < 0:
+                rmin[q == end] = NEG
+            elif vec[1 - ax] > 0:
+                rmax[q == end] = POS
+        return rmin, rmax
+
+    def line_crossings(self, vertical: bool, coords) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`crossings_with_vline` (``vertical``) or
+        :meth:`crossings_with_hline`: per line, the other coordinate of
+        the lower and of the upper crossing point, NaN where absent."""
+        rmin, rmax = self._line_ranges(vertical, np.asarray(coords, dtype=float))
+        keep_lo = np.isfinite(rmin) & (rmin == np.floor(rmin))
+        keep_hi = np.isfinite(rmax) & (rmax == np.floor(rmax)) & (rmax != rmin)
+        return np.where(keep_lo, rmin, np.nan), np.where(keep_hi, rmax, np.nan)
 
     # ------------------------------------------------------------------
     def side_of(self, p: Point) -> int:
@@ -332,28 +338,12 @@ class Staircase:
     def crossings_with_vline(self, x: int) -> list[Point]:
         """Integral points where the vertical line at ``x`` meets the chain
         (endpoints of the meeting segment; 1 or 2 points, possibly none)."""
-        rng = self.y_range_at_x(x)
-        if rng is None:
-            return []
-        ymin, ymax = rng
-        out = []
-        if ymin not in (NEG, POS) and ymin == int(ymin):
-            out.append((x, int(ymin)))
-        if ymax != ymin and ymax not in (NEG, POS) and ymax == int(ymax):
-            out.append((x, int(ymax)))
-        return out
+        lo, hi = self.line_crossings(True, [x])
+        return [(x, int(y)) for y in (lo[0], hi[0]) if y == y]
 
     def crossings_with_hline(self, y: int) -> list[Point]:
-        rng = self.x_range_at_y(y)
-        if rng is None:
-            return []
-        xmin, xmax = rng
-        out = []
-        if xmin not in (NEG, POS) and xmin == int(xmin):
-            out.append((int(xmin), y))
-        if xmax != xmin and xmax not in (NEG, POS) and xmax == int(xmax):
-            out.append((int(xmax), y))
-        return out
+        lo, hi = self.line_crossings(False, [y])
+        return [(int(x), y) for x in (lo[0], hi[0]) if x == x]
 
     def clip_points_to_bbox(
         self, xlo: int, ylo: int, xhi: int, yhi: int

@@ -35,8 +35,9 @@ from repro.monge.matrix import INF, MongeFlag, as_matrix, is_monge
 from repro.monge.smawk import smawk_row_minima, smawk_row_minima_array
 from repro.pram.machine import PRAM, ambient
 
-# Cap the temporary broadcast tensor at ~32M float64 (256 MB) per chunk.
-_CHUNK_BUDGET = 4_000_000
+#: float64 cells in one ``(k, α, γ)`` slab of candidate sums (512 KiB): a
+#: slab stays in cache while it is reduced into the output
+_SLAB_CELLS = 1 << 16
 
 
 def _log2(n: int) -> int:
@@ -44,8 +45,11 @@ def _log2(n: int) -> int:
 
 
 def minplus_naive(a, b, pram: Optional[PRAM] = None) -> np.ndarray:
-    """Brute-force (min,+) product, vectorised in chunks over the inner
-    dimension."""
+    """Brute-force (min,+) product: candidate sums ``a[:, k] + b[k, :]``
+    are formed a cache-sized slab of ``k`` values at a time and reduced
+    into the output over the slab's leading axis.  A large output takes
+    one ``k`` per slab; a small one (a patch row block) takes many, so
+    the Python loop stays short either way."""
     pram = pram or ambient()
     a = as_matrix(a)
     b = as_matrix(b)
@@ -55,14 +59,17 @@ def minplus_naive(a, b, pram: Optional[PRAM] = None) -> np.ndarray:
         raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
     pram.charge(time=_log2(max(inner, 1)) + 1, work=al * bc * max(inner, 1),
                 width=al * bc)
-    if inner == 0:
-        return np.full((al, bc), INF)
     out = np.full((al, bc), INF)
-    chunk = max(1, _CHUNK_BUDGET // max(1, al * bc))
-    for k0 in range(0, inner, chunk):
-        k1 = min(inner, k0 + chunk)
-        block = a[:, k0:k1, None] + b[None, k0:k1, :]
-        np.minimum(out, block.min(axis=1), out=out)
+    if inner == 0 or out.size == 0:
+        return out
+    step = max(1, _SLAB_CELLS // out.size)
+    slab = np.empty((min(step, inner), al, bc))
+    at = a.T
+    for k0 in range(0, inner, step):
+        k1 = min(inner, k0 + step)
+        part = slab[: k1 - k0]
+        np.add(at[k0:k1, :, None], b[k0:k1, None, :], out=part)
+        np.minimum(out, part[0] if len(part) == 1 else part.min(axis=0), out=out)
     return out
 
 
@@ -98,9 +105,9 @@ def minplus_monge(
         return np.full((al, bc), INF)
     if engine == "array":
         arg = smawk_row_minima_array(a, b)
-        rows = np.arange(al)[:, None]
-        cols = np.arange(bc)[None, :]
-        return a[rows, arg] + b[arg, cols]
+        out = a.ravel().take(arg + np.arange(0, al * inner, inner)[:, None])
+        out += b.ravel().take(arg * bc + np.arange(bc))
+        return out
     out = np.full((al, bc), INF)
     ks = list(range(inner))
     js = list(range(bc))

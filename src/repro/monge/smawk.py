@@ -109,30 +109,34 @@ def smawk_row_minima_array(offsets: np.ndarray, b: np.ndarray) -> np.ndarray:
     # arbitrary argmin — `bound_lo`/`bound_hi` hold that per-column answer.
     bound_lo = np.zeros((al, bc), dtype=np.intp)
     bound_hi = np.zeros((al, bc), dtype=np.intp)
+    row_base = np.arange(0, al * inner, inner, dtype=np.intp)[:, None]
+    a_flat = offsets.ravel()
+    b_flat = b.ravel()
     jlo = np.array([0], dtype=np.intp)
     jhi = np.array([bc], dtype=np.intp)
     lb = np.array([-1], dtype=np.intp)
     rb = np.array([-1], dtype=np.intp)
     while jlo.size:
-        nn = jlo.size
         mids = (jlo + jhi) // 2
         klo = np.where(lb >= 0, bound_lo[:, np.maximum(lb, 0)], 0)
         khi = np.where(rb >= 0, bound_hi[:, np.maximum(rb, 0)], inner - 1)
-        lengths = (khi - klo + 1).ravel()  # (al·nn,) all ≥ 1 by monotonicity
+        # one flat segment per (row, node), all lengths ≥ 1 by monotonicity;
+        # element ``pos`` of segment s is k = klo[s] + pos - starts[s]
+        lengths = (khi - klo + 1).ravel()
         starts = np.empty(lengths.size, dtype=np.intp)
         starts[0] = 0
         np.cumsum(lengths[:-1], out=starts[1:])
-        seg = np.repeat(np.arange(al * nn, dtype=np.intp), lengths)
-        k_idx = np.arange(lengths.sum(), dtype=np.intp)
-        k_idx -= np.repeat(starts, lengths)
-        k_idx += np.repeat(klo.ravel(), lengths)
-        i_idx = seg // nn
-        j_idx = mids[seg % nn]
-        vals = offsets[i_idx, k_idx] + b[k_idx, j_idx]
+        pos = np.arange(starts[-1] + lengths[-1], dtype=np.intp)
+        k_off = klo - starts.reshape(klo.shape)
+        # flat take indices i·inner + k and k·bc + mid, each one repeat
+        vals = a_flat.take(np.repeat((row_base + k_off).ravel(), lengths) + pos)
+        vals += b_flat.take(
+            np.repeat((k_off * bc + mids).ravel(), lengths) + pos * bc
+        )
         seg_min = np.minimum.reduceat(vals, starts)
-        first = np.where(vals == np.repeat(seg_min, lengths), k_idx, inner)
-        arg = np.minimum.reduceat(first, starts).reshape(al, nn)
-        finite = np.isfinite(seg_min).reshape(al, nn)
+        first = np.where(vals == np.repeat(seg_min, lengths), pos, pos.size)
+        arg = np.minimum.reduceat(first, starts).reshape(klo.shape) + k_off
+        finite = np.isfinite(seg_min).reshape(klo.shape)
         argmin[:, mids] = arg
         bound_lo[:, mids] = np.where(finite, arg, klo)
         bound_hi[:, mids] = np.where(finite, arg, khi)
