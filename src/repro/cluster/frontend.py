@@ -16,6 +16,12 @@ Data path::
   busy answering, new arrivals pile into the queue, so batches grow
   exactly when the system is loaded — the serving-side analogue of the
   paper's build-side batching of work that is already there.
+* **Pipe** — the event loop writes a batch to the worker's pipe itself
+  and reads the reply itself: a reader on the pipe's fd does one
+  ``recv`` when the reply arrives, with no thread hop either way.  One
+  batch is in flight per worker, so the worker is waiting in ``recv``
+  and drains a batch of any size.  The loop's default executor (builds,
+  reaps, shutdown) never stands between a query and its worker.
 * **Admission control** — per-worker queues are bounded; when one is
   full the front-end answers ``{"ok": false, "shed": true, ...}``
   immediately (one line, no queuing).  Requests carrying ``deadline_ms``
@@ -64,7 +70,14 @@ from typing import Mapping, Optional, Sequence
 
 from repro.cluster.faults import FaultInjector, FaultPlan
 from repro.cluster.hashing import assignment, hrw_score
-from repro.cluster.protocol import close_writer, read_frame, write_frame
+from repro.cluster.protocol import (
+    close_writer,
+    decode_body,
+    encode_body,
+    encode_frame,
+    frame,
+    read_body,
+)
 from repro.cluster.supervisor import RestartPolicy, Supervisor
 from repro.cluster.worker import worker_main
 from repro.errors import ClusterError
@@ -395,17 +408,10 @@ class ClusterFrontend:
         """Readiness gate: one full batch round trip through the worker
         loop (imports done, store registered, pipe serviced) before any
         client traffic may route to it."""
-        loop = asyncio.get_running_loop()
-
-        def round_trip():
-            worker.conn.send({"op": "batch", "seq": 0, "requests": [{"op": "ping"}]})
-            return worker.conn.recv()
-
         try:
-            reply = await asyncio.wait_for(
-                loop.run_in_executor(None, round_trip), self.ready_timeout_s
-            )
-        except (asyncio.TimeoutError, EOFError, OSError, BrokenPipeError) as exc:
+            worker.conn.send({"op": "batch", "seq": 0, "requests": [{"op": "ping"}]})
+            reply = await asyncio.wait_for(_reply(worker.conn), self.ready_timeout_s)
+        except (asyncio.TimeoutError, EOFError, OSError) as exc:
             raise ClusterError(
                 f"worker {worker.id} failed readiness: {exc!r:.120}"
             ) from exc
@@ -474,7 +480,6 @@ class ClusterFrontend:
 
     # -- per-worker dispatch --------------------------------------------
     async def _dispatch_loop(self, worker: _Worker) -> None:
-        loop = asyncio.get_running_loop()
         batch: list[_Item] = []
         try:
             while True:
@@ -501,9 +506,12 @@ class ClusterFrontend:
                 }
                 rpc_t0 = time.time()
                 try:
-                    await loop.run_in_executor(None, worker.conn.send, payload)
-                    reply = await loop.run_in_executor(None, worker.conn.recv)
-                except (EOFError, OSError, BrokenPipeError) as exc:
+                    # the worker sits in recv() between batches (one batch
+                    # in flight per worker), so it drains even a payload
+                    # larger than the pipe buffer
+                    worker.conn.send(payload)
+                    reply = await _reply(worker.conn)
+                except (EOFError, OSError) as exc:
                     worker.inflight = 0
                     self._on_worker_death(
                         worker, batch, f"worker {worker.id} died: {exc!r:.80}"
@@ -769,15 +777,18 @@ class ClusterFrontend:
         try:
             while True:
                 try:
-                    msg = await read_frame(reader)
+                    body = await read_body(reader)
+                    if body is None:
+                        break
+                    c0 = time.perf_counter()
+                    msg = decode_body(body)
+                    decoded = (c0, time.perf_counter())
                 except ClusterError as exc:
                     await pending.put(
-                        {"id": None, "ok": False, "error": f"bad frame: {exc}"}
+                        ({"id": None, "ok": False, "error": f"bad frame: {exc}"}, None)
                     )
                     break
-                if msg is None:
-                    break
-                await pending.put(self._admit(msg))
+                await pending.put((self._admit(msg), decoded))
         finally:
             await pending.put(None)
             try:
@@ -787,12 +798,14 @@ class ClusterFrontend:
 
     async def _write_loop(self, pending: asyncio.Queue, writer) -> None:
         """Drain responses *in request order*: entries are either ready
-        dicts or (id, future) pairs awaited in sequence."""
+        dicts or (id, future) pairs awaited in sequence, each with the
+        perf-counter bounds of its request's frame decode."""
         try:
             while True:
-                entry = await pending.get()
-                if entry is None:
+                item = await pending.get()
+                if item is None:
                     break
+                entry, decoded = item
                 if isinstance(entry, dict):
                     resp = entry
                 else:
@@ -804,11 +817,38 @@ class ClusterFrontend:
                     writer, resp
                 ):
                     continue
-                await write_frame(writer, resp)
+                if "trace" in resp:
+                    writer.write(self._traced_frame(resp, decoded))
+                else:
+                    writer.write(encode_frame(resp))
+                await writer.drain()
         except (ConnectionError, OSError):  # client went away mid-write
             pass
         finally:
             await close_writer(writer)
+
+    def _traced_frame(self, resp: dict, decoded: tuple) -> bytes:
+        """A traced response's wire bytes, with one ``codec`` span for
+        the request's frame decode plus this response's encode.  The
+        trace is encoded after the timed part and appended as the last
+        member, so the span it carries covers the codec work only."""
+        tr = resp.pop("trace")
+        c0 = time.perf_counter()
+        head = encode_body(resp)
+        c1 = time.perf_counter()
+        d0, d1 = decoded
+        sp = span(
+            "codec",
+            tr["trace_id"],
+            tr["spans"][0]["span_id"],  # the request root
+            t0=time.time() - (c1 - d0),
+            decode_ms=round((d1 - d0) * 1e3, 4),
+            encode_ms=round((c1 - c0) * 1e3, 4),
+        )
+        sp["dur"] = (d1 - d0) + (c1 - c0)
+        self.span_buffer.add(sp)
+        tr["spans"].append(dict(sp))
+        return frame(head[:-1] + b',"trace":' + encode_body(tr) + b"}")
 
     def _admit(self, msg: dict):
         """Route one request: an immediate response dict, or (id, future)."""
@@ -1331,6 +1371,30 @@ class ClusterFrontend:
                 w.conn.close()
             except OSError:  # pragma: no cover
                 pass
+
+
+def _reply(conn) -> asyncio.Future:
+    """The worker's next message on ``conn``, read by the event loop
+    itself: a reader on the pipe's fd does one ``recv`` once the reply
+    starts to arrive.  ``EOFError``/``OSError`` (the worker died) become
+    the future's exception.  The reader is gone once the future is done,
+    whether it resolved or was cancelled (shutdown, readiness timeout)."""
+    loop = asyncio.get_running_loop()
+    fut: asyncio.Future = loop.create_future()
+    fd = conn.fileno()
+
+    def on_readable() -> None:
+        loop.remove_reader(fd)
+        if fut.done():
+            return
+        try:
+            fut.set_result(conn.recv())
+        except (EOFError, OSError) as exc:
+            fut.set_exception(exc)
+
+    loop.add_reader(fd, on_readable)
+    fut.add_done_callback(lambda _: loop.remove_reader(fd))
+    return fut
 
 
 async def run_cluster(frontend: ClusterFrontend) -> None:

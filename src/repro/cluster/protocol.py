@@ -110,12 +110,21 @@ _PREFIX = struct.Struct(">I")
 MAX_FRAME = 32 << 20
 
 
-def encode_frame(obj) -> bytes:
-    """Serialize one protocol object to its wire bytes."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+def encode_body(obj) -> bytes:
+    """One protocol object as the UTF-8 JSON body of a frame."""
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def frame(body: bytes) -> bytes:
+    """A frame body with its length prefix."""
     if len(body) > MAX_FRAME:
         raise ClusterError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
     return _PREFIX.pack(len(body)) + body
+
+
+def encode_frame(obj) -> bytes:
+    """Serialize one protocol object to its wire bytes."""
+    return frame(encode_body(obj))
 
 
 def decode_body(body: bytes) -> dict:
@@ -130,6 +139,12 @@ def decode_body(body: bytes) -> dict:
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
     """One frame from an asyncio stream; ``None`` on clean EOF."""
+    body = await read_body(reader)
+    return None if body is None else decode_body(body)
+
+
+async def read_body(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """One frame's undecoded body; ``None`` on clean EOF."""
     try:
         prefix = await reader.readexactly(_PREFIX.size)
     except asyncio.IncompleteReadError as exc:
@@ -140,10 +155,9 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
     if length > MAX_FRAME:
         raise ClusterError(f"frame of {length} bytes exceeds MAX_FRAME")
     try:
-        body = await reader.readexactly(length)
+        return await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ClusterError("connection closed mid-frame")
-    return decode_body(body)
 
 
 async def write_frame(writer: asyncio.StreamWriter, obj) -> None:

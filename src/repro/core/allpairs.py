@@ -939,16 +939,28 @@ class ParallelEngine:
         t = np.array([_arc_pos(z, chain.increasing) for z in zs], dtype=float)
         nz = len(zs)
         # (i) upper special -> neighbouring core z -> lower point, and
-        # (ii) its mirror: upper point -> core z -> lower special
-        for spec, dz, out in ((su, DL, cross), (sl, DU.T, cross.T)):
+        # (ii) its mirror: upper point -> core z -> lower special.  Only a
+        # point with a non-integral coordinate can gain: for an integral
+        # one, the clear view to its special s and the clear chain from s
+        # to z bound D(point, z) by val + |t_s - t_z| exactly (integers in
+        # float64), so the core product already holds every such candidate
+        for rows, spec, dz, out in (
+            (rows_u, su, DL, cross), (rows_l, sl, DU.T, cross.T)
+        ):
+            p = np.array(rows, dtype=float).reshape(-1, 2)
+            frac = np.flatnonzero((p != np.floor(p)).any(axis=1))
+            if not frac.size:
+                continue
+            tt, val, sub = spec.t[frac], spec.val[frac], out[frac]
             for k in range(2):
-                if np.isinf(spec.val[:, k]).all():
+                if np.isinf(val[:, k]).all():
                     continue
-                pos = np.searchsorted(t, spec.t[:, k])
+                pos = np.searchsorted(t, tt[:, k])
                 for nb in (np.clip(pos - 1, 0, nz - 1), np.clip(pos, 0, nz - 1)):
                     # a blocked special has val = inf, so its row stays inf
-                    base = spec.val[:, k] + np.abs(spec.t[:, k] - t[nb])
-                    np.minimum(out, base[:, None] + dz[nb, :], out=out)
+                    base = val[:, k] + np.abs(tt[:, k] - t[nb])
+                    np.minimum(sub, base[:, None] + dz[nb, :], out=sub)
+            out[frac] = sub
         # (iii) upper special -> lower special directly along the chain
         for k in range(su.t.shape[1]):
             for l in range(sl.t.shape[1]):

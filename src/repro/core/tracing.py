@@ -35,7 +35,8 @@ MODES: dict[str, tuple[str, str]] = {
     "WS": ("W", "S"),
 }
 
-_DIR_VEC = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
+#: a forest parent not yet computed (``None`` means "escapes")
+_UNSHOT = -1
 
 
 def _resume_corner(r: Rect, primary: str, detour: str) -> Point:
@@ -82,7 +83,7 @@ class TracedPath:
 class TraceForests:
     """The eight tracing forests over one obstacle set (Lemma 6).
 
-    ``parent(mode, i)`` is the obstacle the path runs into after rounding
+    ``parents(mode)[i]`` is the obstacle the path runs into after rounding
     obstacle ``i`` (None when it escapes to infinity) — the forest the
     paper builds from the trapezoidal decomposition of [4].
     """
@@ -94,18 +95,25 @@ class TraceForests:
         self.shooter = RayShooter(self.rects)
         # segment-tree construction: O(log n) time, O(n log n) work
         pram.charge(time=pram.log2ceil(n or 1), work=4 * n * pram.log2ceil(n or 1), width=4 * n)
+        # one ray shot per obstacle and mode (charged here, as Lemma 6
+        # builds every forest); a parent is shot on first use, so a
+        # caller that follows two traces pays for those paths only
         self._parents: dict[str, list[Optional[int]]] = {}
-        for mode, (primary, detour) in MODES.items():
-            parents: list[Optional[int]] = []
+        for mode in MODES:
             pram.step(n)
-            for r in self.rects:
-                corner = _resume_corner(r, primary, detour)
-                hit = self.shooter.shoot(corner, primary)
-                parents.append(None if hit is None else hit.rect_index)
-            self._parents[mode] = parents
+            self._parents[mode] = [_UNSHOT] * n
+
+    def _parent(self, mode: str, i: int) -> Optional[int]:
+        row = self._parents[mode]
+        cur = row[i]
+        if cur == _UNSHOT:
+            primary, detour = MODES[mode]
+            hit = self.shooter.shoot(_resume_corner(self.rects[i], primary, detour), primary)
+            cur = row[i] = None if hit is None else hit.rect_index
+        return cur
 
     def parents(self, mode: str) -> list[Optional[int]]:
-        return self._parents[mode]
+        return [self._parent(mode, i) for i in range(len(self.rects))]
 
     # ------------------------------------------------------------------
     def trace(self, p: Point, mode: str, pram: Optional[PRAM] = None) -> TracedPath:
@@ -126,7 +134,6 @@ class TraceForests:
         # one ray shot attaches p to the forest; the rest of the path is the
         # root chain of parent pointers (Lemma 6's Euler-tour extraction)
         hit = self.shooter.shoot(p, primary)
-        parents = self._parents[mode]
         axis = 0 if primary in ("N", "S") else 1
         cur: Optional[int] = None if hit is None else hit.rect_index
         prev_corner: Point = p
@@ -143,7 +150,7 @@ class TraceForests:
             if corner != pts[-1]:
                 pts.append(corner)
             prev_corner = corner
-            cur = parents[cur]
+            cur = self._parent(mode, cur)
         pram.charge(time=pram.log2ceil(len(self.rects) or 1), work=max(1, len(pts)))
         return TracedPath(mode, pts, primary)
 

@@ -104,13 +104,8 @@ class RayShooter:
 
     def __init__(self, rects: Sequence[Rect]) -> None:
         self.rects = list(rects)
+        # one segment tree per direction, built on that direction's first shot
         self._shooters: dict[str, _NorthShooter] = {}
-        self._worlds: dict[str, list[Rect]] = {}
-        for d, t in _DIR_TRANSFORMS.items():
-            world = t.apply_rects(self.rects)
-            self._worlds[d] = world
-            self._shooters[d] = _NorthShooter(world)
-        self._transforms = _DIR_TRANSFORMS
 
     def shoot(self, p: Point, direction: str) -> Optional[Hit]:
         """First obstacle hit by the ray from ``p`` in ``direction``.
@@ -120,10 +115,12 @@ class RayShooter:
         interior report the same obstacle at distance zero.
         """
         try:
-            t = self._transforms[direction]
-            shooter = self._shooters[direction]
+            t = _DIR_TRANSFORMS[direction]
         except KeyError:
             raise GeometryError(f"unknown direction {direction!r}") from None
+        shooter = self._shooters.get(direction)
+        if shooter is None:
+            shooter = self._shooters[direction] = _NorthShooter(t.apply_rects(self.rects))
         qx, qy = t.apply(p)
         res = shooter.query(qx, qy)
         if res is None:

@@ -4,18 +4,21 @@ the histogram summaries behind `stats`, the worker request loop, and the full fr
 
 import asyncio
 import json
+import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.cluster import loadgen
-from repro.cluster.frontend import ClusterFrontend
+from repro.cluster.frontend import ClusterFrontend, _reply
 from repro.cluster.hashing import assign_worker, assignment, shards
 from repro.cluster.protocol import (
     MAX_FRAME,
@@ -402,16 +405,17 @@ async def _rpc(host, port, *msgs, timeout=30.0):
             pass
 
 
-class TestClusterEndToEnd:
-    @pytest.fixture(scope="class")
-    def scene_data(self):
-        rects_a = random_disjoint_rects(7, seed=1)
-        rects_b = random_disjoint_rects(5, seed=2)
-        return {
-            "a": (rects_a, ShortestPathIndex.build(rects_a)),
-            "b": (rects_b, ShortestPathIndex.build(rects_b)),
-        }
+@pytest.fixture(scope="module")
+def scene_data():
+    rects_a = random_disjoint_rects(7, seed=1)
+    rects_b = random_disjoint_rects(5, seed=2)
+    return {
+        "a": (rects_a, ShortestPathIndex.build(rects_a)),
+        "b": (rects_b, ShortestPathIndex.build(rects_b)),
+    }
 
+
+class TestClusterEndToEnd:
     def test_answers_match_in_process_index(self, scene_data):
         async def run():
             scenes = {
@@ -947,6 +951,161 @@ class TestDispatchRule:
                 assert fe.workers[0].inflight == 1
                 assert (await fut)["result"] == want[0]
                 assert _batch_sizes(fe) == (1, 1, {"1": 1})
+        asyncio.run(run())
+
+
+class TestPipePath:
+    """Worker replies are read by the event loop (a reader on the pipe's
+    fd), never through an executor thread, and no reader outlives its
+    batch."""
+
+    @staticmethod
+    def _pipe_test(body):
+        async def run():
+            loop = asyncio.get_running_loop()
+            a, b = multiprocessing.Pipe()
+            try:
+                await body(loop, a, b)
+            finally:
+                a.close()
+                b.close()
+
+        asyncio.run(run())
+
+    def test_reply_resolves_and_drops_its_reader(self):
+        async def body(loop, a, b):
+            fut = _reply(a)
+            b.send({"seq": 1, "results": [1.0]})
+            assert await asyncio.wait_for(fut, 5.0) == {"seq": 1, "results": [1.0]}
+            assert loop.remove_reader(a.fileno()) is False
+
+        self._pipe_test(body)
+
+    def test_dead_peer_is_the_futures_exception(self):
+        async def body(loop, a, b):
+            fut = _reply(a)
+            b.close()
+            with pytest.raises(EOFError):
+                await asyncio.wait_for(fut, 5.0)
+            assert loop.remove_reader(a.fileno()) is False
+
+        self._pipe_test(body)
+
+    def test_timeout_cancels_and_drops_the_reader(self):
+        async def body(loop, a, b):
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(_reply(a), 0.05)
+            assert loop.remove_reader(a.fileno()) is False
+            # the next reply on the same pipe is read normally
+            fut = _reply(a)
+            b.send("late")
+            assert await asyncio.wait_for(fut, 5.0) == "late"
+
+        self._pipe_test(body)
+
+    def test_answers_with_the_default_executor_saturated(self, scene_data):
+        # builds and reaps share the loop's default executor; holding all
+        # of its threads must not hold up a query
+        rects, idx = scene_data["a"]
+        vs = idx.vertices()
+        msg = {"id": 0, "op": "length", "scene": "a",
+               "p": list(vs[0]), "q": list(vs[-1])}
+        cpus = getattr(os, "process_cpu_count", os.cpu_count)() or 1
+
+        async def run():
+            async with ClusterFrontend({"a": {"obstacles": rects}}, workers=1) as fe:
+                loop = asyncio.get_running_loop()
+                release = threading.Event()
+                blockers = [
+                    loop.run_in_executor(None, release.wait, 10.0)
+                    for _ in range(min(32, cpus + 4))
+                ]
+                try:
+                    t0 = time.perf_counter()
+                    (resp,) = await _rpc(fe.host, fe.port, msg, timeout=2.0)
+                    took = time.perf_counter() - t0
+                finally:
+                    release.set()
+                    await asyncio.gather(*blockers)
+                assert resp["ok"] and resp["result"] == idx.length(vs[0], vs[-1])
+                assert took < 0.5, f"length took {took:.3f}s"
+
+        asyncio.run(run())
+
+    def test_batch_larger_than_the_pipe_buffer(self, scene_data):
+        rects, idx = scene_data["a"]
+        vs = idx.vertices()
+        n = len(vs)
+        pairs = [[list(vs[i % n]), list(vs[(7 * i + 3) % n])] for i in range(6000)]
+        msg = {"id": 0, "op": "lengths", "scene": "a", "pairs": pairs}
+        # what goes down the pipe: the front-end's decoded copy of the frame
+        payload = {"op": "batch", "seq": 1, "requests": [json.loads(json.dumps(msg))]}
+        assert len(pickle.dumps(payload)) > 64 * 1024
+
+        async def run():
+            async with ClusterFrontend({"a": {"obstacles": rects}}, workers=1) as fe:
+                (resp,) = await _rpc(fe.host, fe.port, msg)
+                assert resp["ok"]
+                assert resp["result"] == [idx.length(tuple(p), tuple(q)) for p, q in pairs]
+
+        asyncio.run(run())
+
+    def test_no_reader_left_after_a_kill_or_stop(self, scene_data):
+        async def run():
+            loop = asyncio.get_running_loop()
+            scenes = {name: {"obstacles": rects} for name, (rects, _) in scene_data.items()}
+            fe = ClusterFrontend(scenes, workers=2, pins={"a": 0, "b": 1}, supervise=False)
+            await fe.start()
+            try:
+                fd0, fd1 = (w.conn.fileno() for w in fe.workers)
+                _, killed = fe._admit({"id": 0, "op": "sleep", "scene": "a", "ms": 400})
+                await asyncio.sleep(0.15)  # the batch is on worker 0's pipe
+                assert fe.workers[0].inflight == 1
+                os.kill(fe.workers[0].proc.pid, signal.SIGKILL)
+                res = await asyncio.wait_for(killed, 10.0)
+                assert res["ok"] and res["result"] == "slept"  # redirected
+                assert loop.remove_reader(fd0) is False
+                _, held = fe._admit({"id": 1, "op": "sleep", "scene": "b", "ms": 300})
+                await asyncio.sleep(0.1)
+                assert fe.workers[1].inflight == 1
+            finally:
+                await fe.stop()
+            res = held.result()
+            assert not res["ok"] and "shutting down" in res["error"]
+            assert loop.remove_reader(fd1) is False
+            assert loop.remove_reader(fd0) is False
+
+        asyncio.run(run())
+
+    def test_traced_response_carries_a_codec_span(self, scene_data):
+        rects, idx = scene_data["a"]
+        vs = idx.vertices()
+
+        async def run():
+            async with ClusterFrontend({"a": {"obstacles": rects}}, workers=1) as fe:
+                (resp,) = await _rpc(fe.host, fe.port, {
+                    "id": 0, "op": "length", "scene": "a", "trace": True,
+                    "p": list(vs[0]), "q": list(vs[-1]),
+                })
+                (plain,) = await _rpc(fe.host, fe.port, {
+                    "id": 1, "op": "length", "scene": "a",
+                    "p": list(vs[0]), "q": list(vs[-1]),
+                })
+                assert resp["ok"] and resp["result"] == plain["result"]
+                assert "trace" not in plain
+                spans = resp["trace"]["spans"]
+                (codec,) = [sp for sp in spans if sp["name"] == "codec"]
+                root = next(sp for sp in spans if sp["name"] == "request")
+                assert codec["parent_id"] == root["span_id"]
+                assert codec["trace_id"] == resp["trace"]["trace_id"]
+                attrs = codec["attrs"]
+                assert attrs["decode_ms"] > 0 and attrs["encode_ms"] > 0
+                assert codec["dur"] * 1e3 == pytest.approx(
+                    attrs["decode_ms"] + attrs["encode_ms"], abs=1e-3
+                )
+                buffered = fe.span_buffer.snapshot(trace_id=resp["trace"]["trace_id"])
+                assert codec["span_id"] in {sp["span_id"] for sp in buffered}
+
         asyncio.run(run())
 
 

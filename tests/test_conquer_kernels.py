@@ -4,6 +4,10 @@
   the per-point ``RayShooter.shoot`` loop it replaced, on every call a
   build makes (random scenes, polygon scenes with seams) and on a hand-made
   scene of grazing and near-boundary views;
+* the projection specials (``ParallelEngine._apply_projection_specials``),
+  which run cases (i)/(ii) on non-integral points only, against the loop
+  that runs them on every point: byte-identical on every call of random,
+  fractional-extra and polygon builds and of ``update_index`` walks;
 * the batched staircase line ranges against a brute force over the
   chain's segments and rays;
 * ``minplus_naive`` against a triple loop, including the degenerate
@@ -13,6 +17,7 @@
 """
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -30,9 +35,9 @@ from repro.monge.smawk import (
     smawk_row_minima,
     smawk_row_minima_array,
 )
-from repro.pipeline import StageCache, build_index
+from repro.pipeline import StageCache, build_index, update_index
 from repro.pram import PRAM
-from repro.scene import Scene
+from repro.scene import Scene, SceneDelta
 from repro.workloads.generators import (
     random_disjoint_rects,
     random_free_points,
@@ -183,6 +188,116 @@ class TestProjectionTable:
         chain = Staircase(((0, 0), (4, 0)), True, "W", "E")
         got = allpairs._projection_table([], chain, np.zeros((0, 4)))
         assert got.t.shape == got.val.shape == (0, 2)
+
+
+# -- projection specials ---------------------------------------------------
+def _reference_specials(cross, rows_u, rows_l, chain, zs, DU, DL, sub_rects, seams):
+    """The specials loop with cases (i)/(ii) on every point."""
+    boxes = np.array(
+        [(r.xlo, r.ylo, r.xhi, r.yhi) for r in sub_rects], dtype=float
+    ).reshape(-1, 4)
+    su = allpairs._projection_table(rows_u, chain, boxes, seams=seams)
+    sl = allpairs._projection_table(rows_l, chain, boxes, seams=seams)
+    t = np.array([allpairs._arc_pos(z, chain.increasing) for z in zs], dtype=float)
+    nz = len(zs)
+    for spec, dz, out in ((su, DL, cross), (sl, DU.T, cross.T)):
+        for k in range(2):
+            if np.isinf(spec.val[:, k]).all():
+                continue
+            pos = np.searchsorted(t, spec.t[:, k])
+            for nb in (np.clip(pos - 1, 0, nz - 1), np.clip(pos, 0, nz - 1)):
+                base = spec.val[:, k] + np.abs(spec.t[:, k] - t[nb])
+                np.minimum(out, base[:, None] + dz[nb, :], out=out)
+    for k in range(su.t.shape[1]):
+        for l in range(sl.t.shape[1]):
+            cand = (
+                su.val[:, k][:, None]
+                + np.abs(su.t[:, k][:, None] - sl.t[:, l][None, :])
+                + sl.val[:, l][None, :]
+            )
+            np.minimum(cross, cand, out=cross)
+    return cross
+
+
+@pytest.fixture
+def checked_specials(monkeypatch):
+    """Check every specials call against the reference loop; yields one
+    flag per checked call: whether it had a non-integral point."""
+    real = ParallelEngine._apply_projection_specials
+    seen = []
+
+    def checked(self, cross, rows_u, rows_l, chain, zs, DU, DL, sub_rects, pram):
+        want = _reference_specials(
+            cross.copy(), rows_u, rows_l, chain, zs, DU, DL, sub_rects, self.seams
+        )
+        got = real(self, cross, rows_u, rows_l, chain, zs, DU, DL, sub_rects, pram)
+        assert got.tobytes() == want.tobytes()
+        seen.append(any(v != int(v) for p in rows_u + rows_l for v in p))
+        return got
+
+    monkeypatch.setattr(ParallelEngine, "_apply_projection_specials", checked)
+    return seen
+
+
+def _fractional_extras(rects, k, seed, off=0.3):
+    """Free points moved ``off`` off the integer grid.  A non-dyadic
+    offset makes the float sums inexact, which is where cases (i)/(ii)
+    can still win by a rounding step: skipping them for these points
+    changes matrix bytes, so the comparison below would see it."""
+    rng = random.Random(seed)
+    out = []
+    for x, y in random_free_points(rects, k, seed=seed):
+        q = (x + off, y) if rng.random() < 0.5 else (x, y - off)
+        if not any(r.contains_interior(q) for r in rects):
+            out.append(q)
+    return out
+
+
+class TestProjectionSpecials:
+    @pytest.mark.parametrize("n,seed", [(12, 0), (24, 1), (40, 2), (64, 3)])
+    def test_random_scenes(self, checked_specials, n, seed):
+        rects = random_disjoint_rects(n, seed=seed)
+        ParallelEngine(rects, extra_points=random_free_points(rects, 4, seed=seed)).build()
+        assert checked_specials and not any(checked_specials)
+
+    @pytest.mark.parametrize("n,seed,off", [(12, 5, 0.5), (30, 6, 0.3), (48, 7, 0.1)])
+    def test_fractional_extra_points(self, checked_specials, n, seed, off):
+        rects = random_disjoint_rects(n, seed=seed)
+        extra = _fractional_extras(rects, 16, seed, off)
+        assert extra
+        ParallelEngine(rects, extra_points=extra).build()
+        assert any(checked_specials)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polygon_scenes_with_seams(self, checked_specials, seed):
+        obstacles = random_polygon_scene(n_polygons=4, n_rects=30, seed=seed)
+        build_index(Scene.from_obstacles(obstacles), engine="parallel",
+                    cache=StageCache(max_entries=0))
+        assert checked_specials
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_update_walks(self, checked_specials, monkeypatch, seed):
+        # deletes take the delta conquer, which calls the same method
+        real = ParallelEngine._try_delta_conquer
+        deltas = []
+
+        def counted(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            deltas.append(out is not None)
+            return out
+
+        monkeypatch.setattr(ParallelEngine, "_try_delta_conquer", counted)
+        rects = random_disjoint_rects(40, seed=20 + seed)
+        idx = build_index(Scene.from_obstacles(rects), engine="parallel",
+                          incremental=True, cache=StageCache())
+        rng = random.Random(seed)
+        for _ in range(6):
+            victim = rng.choice(list(idx.scene.rects))
+            idx = update_index(idx, SceneDelta.delete(victim))
+        idx = update_index(idx, SceneDelta.insert(victim))
+        cold = build_index(idx.scene, engine="parallel", cache=StageCache(max_entries=0))
+        assert idx.index.matrix.tobytes() == cold.index.matrix.tobytes()
+        assert checked_specials and any(deltas)
 
 
 # -- staircase line ranges -------------------------------------------------

@@ -5,11 +5,13 @@ import pytest
 from repro.core.tracing import (
     MODES,
     TraceForests,
+    _resume_corner,
     combine_traces,
     trace_heading,
 )
 from repro.errors import GeometryError
 from repro.geometry.primitives import Rect, dist
+from repro.geometry.rayshoot import brute_force_shoot
 from repro.geometry.staircase import Staircase
 from repro.pram import PRAM
 from repro.workloads.generators import random_disjoint_rects, random_free_points
@@ -101,6 +103,42 @@ class TestTrace:
             else:
                 hit_rect = rects[parents[i]]
                 assert tp.points[1][1] == hit_rect.ylo
+
+    def test_parents_shot_on_first_use_match_brute_force(self):
+        # forests fill in lazily: a trace, then the full list, then traces
+        # again must all agree with one brute-force shot per obstacle
+        rects = random_disjoint_rects(40, seed=8)
+        forests = TraceForests(rects, PRAM())
+        p = random_free_points(rects, 1, seed=8)[0]
+        first = {mode: forests.trace(p, mode, PRAM()).points for mode in MODES}
+        for mode, (primary, detour) in MODES.items():
+            want = []
+            for r in rects:
+                hit = brute_force_shoot(rects, _resume_corner(r, primary, detour), primary)
+                want.append(None if hit is None else hit.rect_index)
+            assert forests.parents(mode) == want
+            assert forests.trace(p, mode, PRAM()).points == first[mode]
+
+    def test_pram_charges_do_not_depend_on_use(self):
+        # Lemma 6's accounting charges every forest at construction,
+        # whether or not a parent is ever computed
+        rects = random_disjoint_rects(25, seed=4)
+        idle, used = PRAM(), PRAM()
+        TraceForests(rects, idle)
+        forests = TraceForests(rects, used)
+        assert (used.time, used.work, used.max_ops) == (idle.time, idle.work, idle.max_ops)
+        for mode in MODES:
+            forests.parents(mode)
+        assert (used.time, used.work, used.max_ops) == (idle.time, idle.work, idle.max_ops)
+
+    def test_separator_builds_only_the_shooters_it_follows(self):
+        from repro.core.separator import staircase_separator
+
+        rects = random_disjoint_rects(64, seed=2)
+        forests = TraceForests(rects, PRAM())
+        staircase_separator(rects, PRAM(), forests=forests)
+        # two traces: two primary directions, not all four
+        assert len(forests.shooter._shooters) == 2
 
     def test_all_vertex_paths(self):
         rects = random_disjoint_rects(12, seed=3)
