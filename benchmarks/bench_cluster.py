@@ -42,8 +42,11 @@ Two claims about :mod:`repro.cluster` are measured and recorded in
   and client retries that took.
 
 * **observability overhead** — zero-service throughput with metrics and
-  tracing on vs off, as the median over fifteen alternating on/off pairs;
-  it must stay under 5% (asserted when not ``BENCH_SMOKE``).
+  tracing on vs off, as the median over :data:`OBS_PAIRS` alternating
+  on/off pairs whose sides each replay the request list for at least
+  :data:`OBS_PASS_S`; it must stay under 5% (asserted when not
+  ``BENCH_SMOKE``).  The signed per-pair overheads and their
+  interquartile range are recorded.
 
 Smoke mode (``BENCH_SMOKE=1``) shrinks everything and skips the ratio
 assertions; the JSON artifact is always written.
@@ -65,7 +68,8 @@ WORKER_COUNTS = (1, 2) if SMOKE else (1, 2, 4)
 N_RECTS = 12 if SMOKE else 48
 N_SCENES = 4
 SLEEP_REQS = 60 if SMOKE else 400
-OBS_PAIRS = 15
+OBS_PAIRS = 15 if SMOKE else 45
+OBS_PASS_S = 0.1 if SMOKE else 0.2
 SLEEP_MS = 2.0
 QUERY_REQS = 60 if SMOKE else 400
 QUERY_PASSES = 3 if SMOKE else 5
@@ -133,17 +137,21 @@ async def _measure_query(indexes, workers):
             pairs_per_request=PAIRS,
         )
         await run_closed(fe.host, fe.port, reqs[: len(reqs) // 4], conns=CONNS)  # warm
-        rates = []
-        for _ in range(QUERY_PASSES):
-            sent, spent = 0, 0.0
-            while spent < QUERY_PASS_S:  # replay the list for the whole pass
-                summary = (await run_closed(fe.host, fe.port, reqs, conns=CONNS)).summary()
-                assert summary["errors"] == 0, summary
-                sent += summary["sent"]
-                spent += summary["elapsed_s"]
-            rates.append(sent / spent)
+        rates = [await _pass_qps(fe, reqs, QUERY_PASS_S) for _ in range(QUERY_PASSES)]
     q1, _, q3 = statistics.quantiles(rates, n=4)
     return {"qps": statistics.median(rates), "iqr": q3 - q1, "passes": rates}
+
+
+async def _pass_qps(fe, reqs, min_s: float) -> float:
+    """Closed-loop throughput of one pass that replays ``reqs`` until it
+    has run at least ``min_s``."""
+    sent, spent = 0, 0.0
+    while spent < min_s:
+        summary = (await run_closed(fe.host, fe.port, reqs, conns=CONNS)).summary()
+        assert summary["errors"] == 0, summary
+        sent += summary["sent"]
+        spent += summary["elapsed_s"]
+    return sent / spent
 
 
 async def _measure_obs_overhead(indexes):
@@ -154,8 +162,9 @@ async def _measure_obs_overhead(indexes):
 
     One short run swings by tens of percent on a small host, so both
     clusters stay up and :data:`OBS_PAIRS` on/off pairs run back to
-    back, alternating which side goes first; the reported overhead is
-    the median of the per-pair overheads."""
+    back, alternating which side goes first, each side a pass of at
+    least :data:`OBS_PASS_S`; the reported overhead is the median of the
+    per-pair overheads, with their interquartile range."""
     scenes = {name: {"index": idx} for name, idx in indexes.items()}
     names = sorted(scenes)
     reqs = [
@@ -174,9 +183,7 @@ async def _measure_obs_overhead(indexes):
         )
 
     async def qps(fe):
-        summary = (await run_closed(fe.host, fe.port, reqs, conns=CONNS)).summary()
-        assert summary["errors"] == 0, summary
-        return summary["qps"]
+        return await _pass_qps(fe, reqs, OBS_PASS_S)
 
     pairs = []
     async with cluster(True) as on, cluster(False) as off:
@@ -188,12 +195,17 @@ async def _measure_obs_overhead(indexes):
             else:
                 q_on, q_off = await qps(on), await qps(off)
             pairs.append((q_on, q_off))
-    overheads = [max(0.0, 1.0 - q_on / q_off) if q_off else 0.0 for q_on, q_off in pairs]
+    # signed: a pair where obs-on ran faster is noise of the same size
+    # as one where it ran slower, and the spread must show both
+    overheads = [1.0 - q_on / q_off if q_off else 0.0 for q_on, q_off in pairs]
+    q1, _, q3 = statistics.quantiles(overheads, n=4)
     return {
         "qps_obs_on": statistics.median(q for q, _ in pairs),
         "qps_obs_off": statistics.median(q for _, q in pairs),
         "overhead": statistics.median(overheads),
         "pair_overheads": [round(o, 4) for o in overheads],
+        "pair_overhead_iqr": q3 - q1,
+        "pass_min_s": OBS_PASS_S,
     }
 
 

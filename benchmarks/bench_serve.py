@@ -7,7 +7,7 @@ are measured and recorded in ``BENCH_serve.json``:
 
 * **snapshot amortization** — ``serve.load`` of a persisted index must
   beat re-running the cold parallel build by ≥ 10× at n=128 (it is
-  typically hundreds of times faster: an npz read vs a full
+  typically hundreds of times faster: a file mapping vs a full
   divide-and-conquer);
 * **coalescing** — answering a vertex-pair length workload through
   ``QueryServer.submit`` in batches must beat the same workload submitted

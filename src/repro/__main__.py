@@ -129,8 +129,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         except ReproError as exc:
             raise SystemExit(str(exc))
         scene_obs = list(scene.obstacles)
-    # capability gating (a snapshot whose format version predates a verb)
-    # and off-grid/outside-container rejections are one-line answers,
+    # capability gating (a snapshot whose header omits a verb) and
+    # off-grid/outside-container rejections are one-line answers,
     # never tracebacks
     try:
         print(f"length = {idx.length(p, q)}")

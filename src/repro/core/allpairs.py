@@ -72,6 +72,47 @@ INF = float("inf")
 DEFAULT_LEAF_SIZE = 6
 
 
+def matrix_dtype(
+    rects: Sequence[Rect], points: Sequence[Point] = (), seams: Sequence = ()
+) -> np.dtype:
+    """The matrix dtype of a build: ``float32`` where it is exact, else
+    ``float64``.  Every engine, cached subtree, pool transport and
+    snapshot of the build uses this one dtype.
+
+    float32 is chosen when every coordinate (obstacles, extra points,
+    seams) is an integer and ``3·D < 2²⁴``, with ``D`` the bounding-box
+    semi-perimeter of the obstacles and points plus the sum of obstacle
+    perimeters.  Why that is exact:
+
+    * ``D`` bounds every finite distance.  Take an L-path from ``p`` to
+      ``q`` inside the bounding box (length at most the semi-perimeter).
+      For each connected component ``K`` of the union of obstacles that
+      it meets, in order, cut the path from its first to its last point
+      on ``K`` and walk along the boundary of the face of ``plane − K``
+      that holds ``p`` and ``q`` instead: that boundary lies on obstacle
+      edges (free to walk), is at most ``Σ_{r∈K} perimeter(r)`` long, and
+      the rest of the path never returns to ``K``.  Seams lie inside
+      polygons, whose tiles form one component, so the walk crosses none.
+      A container's pockets are obstacles of the build, so they count in
+      both the box and the sum.
+    * Every sum the solve forms has at most three terms, each a stored
+      distance or the L1 length between two points of the box (a clear
+      L-path, an arc-length difference along a separator, a projection
+      view): at most ``3·D < 2²⁴``.  Integers below ``2²⁴`` are exact in
+      float32, so every sum, minimum and comparison (the Monge check,
+      SMAWK's argmin) agrees with float64, entry for entry.  ``+∞``
+      (Lemma 4's padding) is a float32 value too.
+    """
+    xs = [c for r in rects for c in (r.xlo, r.xhi)] + [p[0] for p in points]
+    ys = [c for r in rects for c in (r.ylo, r.yhi)] + [p[1] for p in points]
+    coords = xs + ys + [c for s in seams for c in (s.x, s.ylo, s.yhi)]
+    if not all(isinstance(c, (int, np.integer)) or float(c).is_integer() for c in coords):
+        return np.dtype(np.float64)
+    bound = (max(xs) - min(xs) + max(ys) - min(ys)) if xs else 0
+    bound += sum(2 * (r.xhi - r.xlo + r.yhi - r.ylo) for r in rects)
+    return np.dtype(np.float32 if 3 * bound < 1 << 24 else np.float64)
+
+
 def exact_length(v) -> float:
     """A matrix entry as a query answer: int for the integer domain,
     exact float for fractional lengths (non-integer extra points), inf
@@ -230,9 +271,11 @@ class DistanceIndex:
 
     @classmethod
     def from_arrays(cls, points: np.ndarray, matrix: np.ndarray) -> "DistanceIndex":
-        """Rebuild an index from :meth:`export_arrays` output (no solving)."""
+        """Rebuild an index from :meth:`export_arrays` output (no solving).
+        The matrix is kept as given, dtype included: a read-only float32
+        file mapping stays that mapping, never a widened private copy."""
         pts_arr = np.asarray(points)
-        mat = np.asarray(matrix, dtype=float)
+        mat = np.asarray(matrix)
         if pts_arr.ndim != 2 or pts_arr.shape[1] != 2:
             raise QueryError(f"points array must be (n, 2), got {pts_arr.shape}")
         n = pts_arr.shape[0]
@@ -252,34 +295,45 @@ def _arc_pos(p: Point, increasing: bool) -> int:
     return p[0] + p[1] if increasing else p[0] - p[1]
 
 
-def _halves(pts, rows_u, rows_l, upper, lower, zs):
-    """What every conquer starts from: the node matrix over ``pts`` with
-    each child's same-side block in place (Containment), the row/column
-    selections of the two sides in it, and the distance blocks upper
-    point → separator (``DU``) and separator → lower point (``DL``)."""
+def _halves(pts, rows_u, rows_l, upper, lower, zs, dtype):
+    """What every conquer starts from: the node matrix over ``pts`` (in
+    ``dtype``) with each child's same-side block in place (Containment),
+    the row/column selections of the two sides in it, and the distance
+    blocks upper point → separator (``DU``) and separator → lower point
+    (``DL``)."""
     (ptsU, matU), (ptsL, matL) = upper, lower
     iu = {p: i for i, p in enumerate(ptsU)}
     il = {p: i for i, p in enumerate(ptsL)}
     pidx = {p: i for i, p in enumerate(pts)}
-    uid = [iu[p] for p in rows_u]
-    lid = [il[p] for p in rows_l]
     sel_u = [pidx[p] for p in rows_u]
     sel_l = [pidx[p] for p in rows_l]
-    out = np.full((len(pts), len(pts)), INF)
-    out[np.ix_(sel_u, sel_u)] = matU[np.ix_(uid, uid)]
-    out[np.ix_(sel_l, sel_l)] = np.minimum(
-        out[np.ix_(sel_l, sel_l)], matL[np.ix_(lid, lid)]
+    out = np.full((len(pts), len(pts)), INF, dtype=dtype)
+    out[np.ix_(sel_u, sel_u)] = _block(matU, [iu[p] for p in rows_u])
+    out[np.ix_(sel_l, sel_l)] = _block(matL, [il[p] for p in rows_l])
+    # points on the separator are rows of both children: keep the smaller
+    upper_rows = set(rows_u)
+    on = [p for p in rows_l if p in upper_rows]
+    out[np.ix_([pidx[p] for p in on], [pidx[p] for p in on])] = np.minimum(
+        _block(matU, [iu[p] for p in on]), _block(matL, [il[p] for p in on])
     )
-    DU = matU[np.ix_(uid, [iu[z] for z in zs])]
-    DL = matL[np.ix_([il[z] for z in zs], lid)]
+    DU = _block(matU, [iu[p] for p in rows_u], [iu[z] for z in zs])
+    DL = _block(matL, [il[z] for z in zs], [il[p] for p in rows_l])
     return out, (sel_u, sel_l), DU, DL
 
 
+def _block(mat: np.ndarray, rows, cols=None) -> np.ndarray:
+    """``mat[rows × cols]`` (``rows × rows`` by default) as two ``take``
+    gathers, cheaper than one ``np.ix_`` fancy index."""
+    return mat.take(rows, axis=0).take(rows if cols is None else cols, axis=1)
+
+
 def _join(out: np.ndarray, sel: tuple, cross: np.ndarray) -> np.ndarray:
-    """Fold the cross block into both off-diagonal blocks of ``out``."""
+    """Fold the cross block (updated in place) into both off-diagonal
+    blocks of ``out``."""
     sel_u, sel_l = sel
-    out[np.ix_(sel_u, sel_l)] = np.minimum(out[np.ix_(sel_u, sel_l)], cross)
-    out[np.ix_(sel_l, sel_u)] = out[np.ix_(sel_u, sel_l)].T
+    np.minimum(cross, out[np.ix_(sel_u, sel_l)], out=cross)
+    out[np.ix_(sel_u, sel_l)] = cross
+    out[np.ix_(sel_l, sel_u)] = cross.T
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -346,7 +400,8 @@ def minplus_block(a: np.ndarray, b: np.ndarray, certify: bool, pram: PRAM):
 class ParallelEngine:
     """Builds the all-pairs structure among obstacle vertices (plus any
     extra points) on the simulated CREW-PRAM.  ``executor`` decides where
-    the independent pieces of the recursion run (default: inline)."""
+    the independent pieces of the recursion run (default: inline); every
+    matrix of the build is in ``self.dtype`` (:func:`matrix_dtype`)."""
 
     def __init__(
         self,
@@ -406,7 +461,10 @@ class ParallelEngine:
             raise QueryError(f"unknown divide rule {divide!r}")
         self.divide = divide
         self._sub_cache = subtree_cache
-        self._sub_salt = tuple(subtree_salt)
+        self.dtype = matrix_dtype(self.rects, self.extra_points, self.seams)
+        # the dtype is part of every subtree key: an edit that crosses the
+        # float32 bound never reuses entries of the other dtype
+        self._sub_salt = (*subtree_salt, self.dtype.name)
         self._delta_hint = delta_hint
 
     def _fresh_chain_id(self) -> int:
@@ -418,7 +476,7 @@ class ParallelEngine:
         """Compute the index; simulated time O(log² n)-ish, see E3."""
         if not self.rects:
             pts = list(self.extra_points)
-            m = np.zeros((len(pts), len(pts)))
+            m = np.zeros((len(pts), len(pts)), dtype=self.dtype)
             for i, p in enumerate(pts):
                 for j, q in enumerate(pts):
                     m[i, j] = dist(p, q)
@@ -506,7 +564,7 @@ class ParallelEngine:
         upper_idx = [rect_idx[i] for i in sep.upper]
         lower_idx = [rect_idx[i] for i in sep.lower]
         pram.step(len(pts))
-        side_of = {p: chain.side_of(p) for p in pts}
+        side_of = dict(zip(pts, chain.sides_of(pts).tolist()))
         up_iface = list(dict.fromkeys(
             [p for p in pts if side_of[p] >= 0] + zs))
         lo_iface = list(dict.fromkeys(
@@ -531,11 +589,9 @@ class ParallelEngine:
         return out, (chain_sig, tuple(zs))
 
     # -- subtree cache (incremental builds) ----------------------------
-    def _subtree_key(self, rect_idx: list[int]) -> tuple:
-        coords = sorted(
-            (self.rects[i].xlo, self.rects[i].ylo, self.rects[i].xhi, self.rects[i].yhi)
-            for i in rect_idx
-        )
+    def _subtree_key(self, rect_idx: list[int], extra: Sequence[Rect] = ()) -> tuple:
+        rects = [self.rects[i] for i in rect_idx] + list(extra)
+        coords = sorted((r.xlo, r.ylo, r.xhi, r.yhi) for r in rects)
         return ("solve", "sub", self._sub_salt, tuple(coords))
 
     def _old_subtree_key(self, rect_idx: list[int]) -> Optional[tuple]:
@@ -543,15 +599,7 @@ class ParallelEngine:
         multiset plus the removed rect) — where the pre-edit entry lives."""
         if self._delta_hint is None or self._delta_hint[0] != "delete":
             return None
-        r = self._delta_hint[1]
-        coords = sorted(
-            [
-                (self.rects[i].xlo, self.rects[i].ylo, self.rects[i].xhi, self.rects[i].yhi)
-                for i in rect_idx
-            ]
-            + [(r.xlo, r.ylo, r.xhi, r.yhi)]
-        )
-        return ("solve", "sub", self._sub_salt, tuple(coords))
+        return self._subtree_key(rect_idx, [self._delta_hint[1]])
 
     def _reuse_entry(
         self,
@@ -615,17 +663,19 @@ class ParallelEngine:
         cid = [entry.index[c] for c in corners]
         old_pts = entry.pts
         m, k = len(old_pts), len(missing)
-        w_xc = clear_l1_block(missing, corners, sub)  # k x C
+        w_xc = clear_l1_block(missing, corners, sub, dtype=self.dtype)  # k x C
         scratch = PRAM(f"{pram.name}/patch")
         # rows vs every stored point (keeps the entry square + canonical)
         via = minplus_naive(w_xc, entry.matrix[cid, :], scratch)  # k x m
-        rows = np.minimum(clear_l1_block(missing, old_pts, sub), via)
+        rows = np.minimum(clear_l1_block(missing, old_pts, sub, dtype=self.dtype), via)
         # the new-new block, through the just-computed corner columns
         via_xx = minplus_naive(w_xc, rows[:, cid].T, scratch)
-        block = np.minimum(clear_l1_block(missing, missing, sub), via_xx)
+        block = np.minimum(
+            clear_l1_block(missing, missing, sub, dtype=self.dtype), via_xx
+        )
         np.minimum(block, block.T, out=block)
         np.fill_diagonal(block, 0.0)
-        grown = np.full((m + k, m + k), INF)
+        grown = np.full((m + k, m + k), INF, dtype=self.dtype)
         grown[:m, :m] = entry.matrix
         grown[m:, :m] = rows
         grown[:m, m:] = rows.T
@@ -702,7 +752,7 @@ class ParallelEngine:
             z not in old_child.index for z in zs
         ):
             return None
-        out, sel, DU, DL = _halves(pts, rows_u, rows_l, upper, lower, zs)
+        out, sel, DU, DL = _halves(pts, rows_u, rows_l, upper, lower, zs, self.dtype)
         cross = old_entry.matrix[
             np.ix_(
                 [old_entry.index[p] for p in rows_u],
@@ -774,13 +824,13 @@ class ParallelEngine:
         sub = [self.rects[i] for i in rect_idx]
         m = len(pts)
         if not sub:
-            mat = np.zeros((m, m))
+            mat = np.zeros((m, m), dtype=self.dtype)
             for i, p in enumerate(pts):
                 for j, q in enumerate(pts):
                     mat[i, j] = dist(p, q)
             pram.step(m * m)
             return pts, mat
-        mat = corner_graph_matrix(sub, pts, seams=self.seams)
+        mat = corner_graph_matrix(sub, pts, seams=self.seams, dtype=self.dtype)
         lg = pram.log2ceil(m or 1)
         c = len(sub)
         clogc = max(1, c * max(1, (max(c - 1, 1)).bit_length()))
@@ -855,7 +905,7 @@ class ParallelEngine:
         rows_u = [p for p in pts if side_of[p] >= 0]
         rows_l = [p for p in pts if side_of[p] <= 0]
         self.stats.conquer_pairs += len(rows_u) * len(rows_l)
-        out, sel, DU, DL = _halves(pts, rows_u, rows_l, upper, lower, zs)
+        out, sel, DU, DL = _halves(pts, rows_u, rows_l, upper, lower, zs, self.dtype)
         # cross pairs through the separator
         cross = yield from self._cross_product(DU, DL, rows_l, pram)
         cross = self._apply_projection_specials(
@@ -905,7 +955,7 @@ class ParallelEngine:
                 for idxs, certify in jobs
             ],
         )
-        out = np.full((DU.shape[0], DL.shape[1]), INF)
+        out = np.full((DU.shape[0], DL.shape[1]), INF, dtype=self.dtype)
         for (idxs, _), block in zip(jobs, blocks):
             out[:, idxs] = block
         return out
@@ -962,13 +1012,13 @@ class ParallelEngine:
                     np.minimum(sub, base[:, None] + dz[nb, :], out=sub)
             out[frac] = sub
         # (iii) upper special -> lower special directly along the chain
+        # (float64 in place: arc positions are coordinates, not distances)
         for k in range(su.t.shape[1]):
             for l in range(sl.t.shape[1]):
-                cand = (
-                    su.val[:, k][:, None]
-                    + np.abs(su.t[:, k][:, None] - sl.t[:, l][None, :])
-                    + sl.val[:, l][None, :]
-                )
+                cand = np.subtract.outer(su.t[:, k], sl.t[:, l])
+                np.abs(cand, out=cand)
+                cand += su.val[:, k][:, None]
+                cand += sl.val[:, l]
                 np.minimum(cross, cand, out=cross)
         pram.charge(time=2, work=cross.size * 12, width=cross.size)
         return cross

@@ -117,11 +117,9 @@ class ShortestPathIndex:
         self._query: Optional[object] = None
         self._query_parents = query_parents  # persisted §6.4 forests, if any
         self._reporter: Optional[PathReporter] = None
-        #: query verbs this index can answer; snapshot reloads narrow it
-        #: (with `capability_note` explaining why) for artifact formats
-        #: that predate a verb
+        #: query verbs this index can answer; a snapshot reload takes the
+        #: verbs its header names
         self.capabilities: tuple[str, ...] = FULL_CAPABILITIES
-        self.capability_note: Optional[str] = None
         self._links: Optional[object] = None
         self._link_matrix: Optional[np.ndarray] = None  # persisted, if any
         self._adhoc_links: "dict[frozenset, object]" = {}
@@ -237,10 +235,7 @@ class ShortestPathIndex:
     # -- the (length, bends) query family ------------------------------
     def _require_verb(self, verb: str) -> None:
         if verb not in self.capabilities:
-            note = f" ({self.capability_note})" if self.capability_note else ""
-            raise QueryError(
-                f"this index cannot answer '{verb}' queries{note}"
-            )
+            raise QueryError(f"this index cannot answer '{verb}' queries")
 
     def _links_for(self, pts: Sequence[Point]):
         """The shared link index, or an ad-hoc one whose grid also

@@ -313,6 +313,7 @@ def clear_l1_block(
     rects: Sequence[Rect],
     chunk: int = 1 << 22,
     seams: Sequence = (),
+    dtype=np.float64,
 ) -> np.ndarray:
     """``L1(a, b)`` where one of the two extreme L-paths a→b is clear of
     every obstacle interior, ``+∞`` otherwise — fully vectorized.
@@ -322,12 +323,13 @@ def clear_l1_block(
     blocks.  ``seams`` (interior edges of polygon decompositions) block a
     *vertical* leg that overlaps them collinearly — horizontal legs can
     only cross a seam, which the rectangle tests already catch.  Chunked
-    over rows so the temporaries stay bounded.
+    over rows so the temporaries stay bounded.  Coordinates are handled
+    in float64; only the lengths are stored in ``dtype``.
     """
     a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
     b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
     na, nb = len(a), len(b)
-    out = np.full((na, nb), INF)
+    out = np.full((na, nb), INF, dtype=dtype)
     if na == 0 or nb == 0:
         return out
     step = max(1, chunk // max(1, nb))
@@ -364,7 +366,10 @@ def clear_l1_block(
 
 
 def corner_graph_matrix(
-    rects: Sequence[Rect], points: Sequence[Point], seams: Sequence = ()
+    rects: Sequence[Rect],
+    points: Sequence[Point],
+    seams: Sequence = (),
+    dtype=np.float64,
 ) -> np.ndarray:
     """Exact all-pairs rectilinear distances among ``points`` avoiding
     ``rects``, via the corner graph.
@@ -377,7 +382,8 @@ def corner_graph_matrix(
     with ``D_C`` the corner-to-corner distances (solved exactly on the
     corner-only Hanan grid by the batched Dijkstra).  Everything is array
     code: two :func:`clear_l1_block` sweeps plus two small (min,+)
-    products — the fast leaf brute-force of the parallel engine.
+    products — the fast leaf brute-force of the parallel engine — in
+    ``dtype``.
     """
     from repro.monge.multiply import minplus_naive
     from repro.pram.machine import PRAM
@@ -386,7 +392,7 @@ def corner_graph_matrix(
     m = len(pts)
     if not rects and not seams:
         a = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-        return np.abs(a[:, None, :] - a[None, :, :]).sum(axis=2)
+        return np.abs(a[:, None, :] - a[None, :, :]).sum(axis=2).astype(dtype, copy=False)
     # seam endpoints join the corner set: a taut path around a seam bends
     # there, and foreign seams (other polygons' interiors, threaded in by
     # the parallel engine's leaves) contribute corners the local rectangle
@@ -397,11 +403,11 @@ def corner_graph_matrix(
             + [e for s in seams for e in s.endpoints]
         )
     )
-    d_c = GridOracle(rects, corners, seams=seams).dist_matrix(corners)
-    w = clear_l1_block(pts, corners, rects, seams=seams)
+    d_c = GridOracle(rects, corners, seams=seams).dist_matrix(corners).astype(dtype)
+    w = clear_l1_block(pts, corners, rects, seams=seams, dtype=dtype)
     scratch = PRAM("leaf-scratch")
     via = minplus_naive(minplus_naive(w, d_c, scratch), w.T, scratch)
-    out = np.minimum(clear_l1_block(pts, pts, rects, seams=seams), via)
+    out = np.minimum(clear_l1_block(pts, pts, rects, seams=seams, dtype=dtype), via)
     np.minimum(out, out.T, out=out)
     if m:
         np.fill_diagonal(out, 0.0)

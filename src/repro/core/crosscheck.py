@@ -156,6 +156,10 @@ def check_scene(
     idx_ref = idxs[ref]
     pts = idx_ref.index.points
     problems = []
+    dtypes = {name: idx.index.matrix.dtype.name for name, idx in idxs.items()}
+    if len(set(dtypes.values())) > 1:
+        # one matrix dtype per build, whichever engine solved it
+        problems.append(f"engines disagree on the matrix dtype: {dtypes}")
     if "parallel" in idxs and "parallel-mp" in idxs:
         # the pool engine promises more than value equality: the same
         # floats in the same order, bit for bit, at the same PRAM cost

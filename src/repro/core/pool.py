@@ -16,8 +16,9 @@ module adds what real cores need:
   parent computes, never what.
 * **Persistent workers** (:func:`get_pool`) outlive builds; handlers are
   ``"module:function"`` names resolved in the worker.  Every result,
-  matrix included, comes back pickled through the one result queue:
-  nothing but the queues outlives a task, under ``fork`` or ``spawn``.
+  matrix included, comes back pickled through the one result queue in
+  the build's matrix dtype: nothing but the queues outlives a task,
+  under ``fork`` or ``spawn``.
 * **Crash containment.**  A worker death with tasks outstanding tears the
   pool down (survivors terminated) and raises one
   :class:`~repro.errors.EngineError` line; the next build gets a fresh
@@ -363,7 +364,8 @@ class PoolExecutor(InlineExecutor):
         ctx = {k: getattr(engine, k)
                for k in ("rects", "seams", "leaf_size", "monge_dispatch", "divide")}
         payload = {"ctx": ctx, "rect_idx": rect_idx, "pts": pts, "depth": depth,
-                   "tags": tags, "next_chain_id": engine._next_chain_id}
+                   "tags": tags, "next_chain_id": engine._next_chain_id,
+                   "dtype": engine.dtype}
 
         def finish(body, mat):
             t, w, width = body["pram"]
@@ -495,6 +497,9 @@ def _solve_task(payload: dict):
     """A node body (leaf or whole subtree) on an inline engine, plus the
     PRAM charges, stats and new chains the parent folds back."""
     eng = ParallelEngine(validate=False, **payload["ctx"])
+    # the build's dtype was chosen from the whole scene, extra points
+    # included, which the worker's engine does not see
+    eng.dtype = payload["dtype"]
     eng._chain_tags.update(payload["tags"])
     eng._next_chain_id = payload["next_chain_id"]
     w = PRAM("pool-task")
@@ -511,7 +516,7 @@ def _solve_task(payload: dict):
         "stats": vars(eng.stats),
         "chains": [sorted(chains[c], key=lambda pk: pk[1]) for c in sorted(chains)],
     }
-    return body, {"matrix": np.ascontiguousarray(mat, dtype=np.float64)}
+    return body, {"matrix": np.ascontiguousarray(mat)}
 
 
 def _block_task(payload: dict):
@@ -519,4 +524,4 @@ def _block_task(payload: dict):
     m = PRAM("pool-block")
     out, fast = minplus_block(payload["a"], payload["b"], payload["certify"], m)
     body = {"pram": (m.time, m.work, m.max_ops), "fast": fast}
-    return body, {"matrix": np.ascontiguousarray(out, dtype=np.float64)}
+    return body, {"matrix": np.ascontiguousarray(out)}

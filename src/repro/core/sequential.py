@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.allpairs import DistanceIndex
+from repro.core.allpairs import DistanceIndex, matrix_dtype
 from repro.core.tracing import TraceForests, TracedPath
 from repro.errors import GeometryError
 from repro.geometry.primitives import (
@@ -179,6 +179,7 @@ class SequentialEngine:
             pts.setdefault(p, None)
         self.points: list[Point] = list(pts)
         self._point_set = frozenset(self.points)
+        self.dtype = matrix_dtype(self.rects, self.points, self.seams)
         # The four-world monotone-DAG machinery is specified for disjoint
         # *rectangles* only: its hop and straight-shot realisability
         # arguments run paths along whole obstacle edges, which may overlap
@@ -225,9 +226,9 @@ class SequentialEngine:
 
             mat = repeated_single_source_matrix(
                 self.rects, self.points, oracle=self._seam_oracle()
-            )
+            ).astype(self.dtype, copy=False)
         else:
-            mat = np.full((n, n), INF)
+            mat = np.full((n, n), INF, dtype=self.dtype)
             for i, p in enumerate(self.points):
                 mat[i, :] = self.single_source(p)
             # the metric is symmetric; keep the smaller direction (the two

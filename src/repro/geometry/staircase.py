@@ -221,31 +221,35 @@ class Staircase:
         (every separator and frontier is) so the two sides are well defined
         for every point of the plane.
         """
+        return int(self.sides_of([p])[0])
+
+    def sides_of(self, points: Sequence[Point]) -> np.ndarray:
+        """Batched :meth:`side_of`: one :meth:`_line_ranges` pass over the
+        points' vertical lines."""
         if not self.unbounded:
             raise GeometryError("side_of requires an unbounded staircase")
-        x, y = p
-        rng = self.y_range_at_x(x)
-        if rng is not None:
-            ymin, ymax = rng
-            if y > ymax:
-                return 1
-            if y < ymin:
-                return -1
-            return 0
-        # The vertical line at x misses the chain: p lies beyond a vertical
-        # end ray, strictly west or east of everything.
-        if x < self._xs[0]:
-            d = self.left_dir
-            if self.increasing:
-                return 1 if d == "S" else -1  # west of a south-ray is above-left
-            return -1 if d == "N" else 1
-        d = self.right_dir
-        if self.increasing:
-            return -1 if d == "N" else 1
-        return 1 if d == "S" else -1
+        p = np.array(points, dtype=float).reshape(-1, 2)
+        lo, hi = self._line_ranges(True, p[:, 0])
+        out = (p[:, 1] > hi).astype(np.int64) - (p[:, 1] < lo)
+        miss = np.isnan(lo)
+        out[miss] = np.where(
+            p[miss, 0] < self._xs[0], self._side_beyond(True), self._side_beyond(False)
+        )
+        return out
 
-    def contains_point(self, p: Point) -> bool:
-        return self.side_of(p) == 0 if self.unbounded else self._contains_bounded(p)
+    def _side_beyond(self, west: bool) -> int:
+        """The side of a point whose vertical line misses the chain: it
+        lies beyond a vertical end ray, strictly west or east of
+        everything.  West of a south ray (east of a north one) is the
+        upper side of an increasing chain; west of a north ray (east of a
+        south one) is the lower side of a decreasing one."""
+        if not self.unbounded:
+            raise GeometryError("side_of requires an unbounded staircase")
+        if west:
+            d = self.left_dir
+            return (1 if d == "S" else -1) if self.increasing else (-1 if d == "N" else 1)
+        d = self.right_dir
+        return (-1 if d == "N" else 1) if self.increasing else (1 if d == "S" else -1)
 
     def _contains_bounded(self, p: Point) -> bool:
         x, y = p
@@ -290,7 +294,7 @@ class Staircase:
                 # between two columns: the chain's y there is the overlap
                 rng = (min(lo[0], hi[0]), max(lo[1], hi[1]))
         if rng is None:
-            return self.side_of((x2 // 2, y2 // 2))
+            return self._side_beyond(x2 < 2 * self._xs[0])
         ymin, ymax = rng
         if y2 > 2 * ymax:
             return 1

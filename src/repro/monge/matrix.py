@@ -1,9 +1,16 @@
 """Matrix representation and the Monge predicate (§2).
 
-Distance matrices are ``numpy float64`` arrays holding exact integers (all
-distances in this library are < 2^53, where float64 is exact) with
+Distance matrices are ``numpy`` float arrays holding exact lengths, with
 ``np.inf`` for "no path through here" — exactly the ``+∞`` padding of
-Lemma 4.
+Lemma 4.  One dtype is chosen per build
+(:func:`repro.core.allpairs.matrix_dtype`): ``float32`` when every
+coordinate of the scene is an integer and ``3·D < 2^24``, where ``D``, the
+bounding-box semi-perimeter plus the sum of obstacle perimeters, bounds
+every finite distance; ``float64`` otherwise.  Every sum the solve forms
+has at most three terms of size at most ``D``, so below ``2^24`` float32
+adds, compares and takes minima exactly like float64.  The kernels here
+keep the dtype of their operands (float32 ⊗ float32 is float32) and
+never widen it.
 
 A matrix ``M`` is Monge iff for all adjacent rows/columns
 ``M[i,j] + M[i+1,j+1] <= M[i,j+1] + M[i+1,j]``.  Lemma 1: path-length
@@ -57,10 +64,14 @@ class MongeFlag:
 
 
 def as_matrix(m: MatrixLike) -> np.ndarray:
-    """Normalise to a 2-D float64 array (unwrapping :class:`MongeFlag`)."""
+    """Normalise to a 2-D float array (unwrapping :class:`MongeFlag`):
+    float32 and float64 arrays keep their dtype, anything else becomes
+    float64."""
     if isinstance(m, MongeFlag):
         return m.array
-    a = np.asarray(m, dtype=np.float64)
+    a = np.asarray(m)
+    if a.dtype not in (np.float32, np.float64):
+        a = a.astype(np.float64)
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
     return a
@@ -123,6 +134,6 @@ def pad_matrix(m: MatrixLike, rows: int, cols: int) -> np.ndarray:
     r, c = a.shape
     if rows < r or cols < c:
         raise ValueError("cannot pad to a smaller shape")
-    out = np.full((rows, cols), INF)
+    out = np.full((rows, cols), INF, dtype=a.dtype)
     out[:r, :c] = a
     return out

@@ -35,8 +35,9 @@ from repro.monge.matrix import INF, MongeFlag, as_matrix, is_monge
 from repro.monge.smawk import smawk_row_minima, smawk_row_minima_array
 from repro.pram.machine import PRAM, ambient
 
-#: float64 cells in one ``(k, α, γ)`` slab of candidate sums (512 KiB): a
-#: slab stays in cache while it is reduced into the output
+#: cells in one ``(k, α, γ)`` slab of candidate sums (512 KiB in float64,
+#: 256 KiB in float32): a slab stays in cache while it is reduced into
+#: the output
 _SLAB_CELLS = 1 << 16
 
 
@@ -59,11 +60,12 @@ def minplus_naive(a, b, pram: Optional[PRAM] = None) -> np.ndarray:
         raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
     pram.charge(time=_log2(max(inner, 1)) + 1, work=al * bc * max(inner, 1),
                 width=al * bc)
-    out = np.full((al, bc), INF)
+    dtype = np.result_type(a, b)
+    out = np.full((al, bc), INF, dtype=dtype)
     if inner == 0 or out.size == 0:
         return out
     step = max(1, _SLAB_CELLS // out.size)
-    slab = np.empty((min(step, inner), al, bc))
+    slab = np.empty((min(step, inner), al, bc), dtype=dtype)
     at = a.T
     for k0 in range(0, inner, step):
         k1 = min(inner, k0 + step)
@@ -101,14 +103,16 @@ def minplus_monge(
         raise ValueError(f"unknown SMAWK engine {engine!r}")
     pram.charge(time=_log2(max(bc, 1)) + _log2(max(inner, 1)),
                 work=al * (inner + bc), width=al * max(inner, bc))
+    dtype = np.result_type(a, b)
     if inner == 0 or bc == 0 or al == 0:
-        return np.full((al, bc), INF)
+        return np.full((al, bc), INF, dtype=dtype)
     if engine == "array":
         arg = smawk_row_minima_array(a, b)
-        out = a.ravel().take(arg + np.arange(0, al * inner, inner)[:, None])
-        out += b.ravel().take(arg * bc + np.arange(bc))
-        return out
-    out = np.full((al, bc), INF)
+        return np.add(
+            a.ravel().take(arg + np.arange(0, al * inner, inner)[:, None]),
+            b.ravel().take(arg * bc + np.arange(bc)),
+        )
+    out = np.full((al, bc), INF, dtype=dtype)
     ks = list(range(inner))
     js = list(range(bc))
     for i in range(al):
@@ -139,7 +143,7 @@ def minplus_auto(a, b, pram: Optional[PRAM] = None) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
     if min(a.shape + b.shape) == 0:
-        return np.full((a.shape[0], b.shape[1]), INF)
+        return np.full((a.shape[0], b.shape[1]), INF, dtype=np.result_type(a, b))
     pram.charge(time=1, work=b.size, width=b.size)
     if is_monge(b_flag if b_flag is not None else b):
         return minplus_monge(a, b, pram, check=False)

@@ -87,8 +87,9 @@ def smawk_row_minima_array(offsets: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Returns the ``(α, γ)`` int array of argmin inner indices.
     """
-    offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    dtype = np.result_type(offsets, b, np.float32)  # float32 stays float32
+    offsets = np.ascontiguousarray(offsets, dtype=dtype)
+    b = np.ascontiguousarray(b, dtype=dtype)
     if offsets.ndim != 2 or b.ndim != 2:
         raise ValueError("offsets and b must be 2-D")
     al, inner = offsets.shape

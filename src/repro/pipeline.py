@@ -57,7 +57,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.allpairs import DEFAULT_LEAF_SIZE, DistanceIndex
+from repro.core.allpairs import DEFAULT_LEAF_SIZE, DistanceIndex, matrix_dtype
 from repro.errors import EngineError, GeometryError, QueryError
 from repro.geometry.polygon import RectilinearPolygon, pockets_to_rects
 from repro.geometry.primitives import Point, Rect, validate_disjoint
@@ -442,7 +442,7 @@ def _solve_grid(
     lg = max(1, max(n - 1, 1).bit_length())
     # the honest sequential comparator cost ([11]/E6): one SSSP per source
     pram.charge(time=n * lg, work=n * n * lg, width=n)
-    return DistanceIndex(pts, np.asarray(mat, dtype=float))
+    return DistanceIndex(pts, mat.astype(matrix_dtype(dec.all_rects, pts, dec.seams)))
 
 
 # ----------------------------------------------------------------------
@@ -608,9 +608,10 @@ def _solve_parallel_incremental(
     # anything that changes a node's *values* for a fixed rect multiset
     # must be part of the subtree salt, or two configurations would trade
     # entries: leaf size (recursion shape), pivot rule, and the seam set
-    # (seams alter the metric but are invisible to the rect-coordinate key)
-    # — deliberately NOT the engine: parallel and parallel-mp deposit
-    # byte-identical matrices, so they share one entry population
+    # (seams alter the metric but are invisible to the rect-coordinate key);
+    # the engine appends its matrix dtype — deliberately NOT the engine
+    # name: parallel and parallel-mp deposit byte-identical matrices, so
+    # they share one entry population
     salt = (
         "v1",
         leaf_size,

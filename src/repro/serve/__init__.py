@@ -5,8 +5,8 @@ is the *online* half an actual deployment needs:
 
 * :mod:`repro.serve.snapshot` — ``save``/``load`` a built
   :class:`~repro.core.api.ShortestPathIndex` as one ``.rsp`` artifact
-  (format v3: an mmap-friendly raw layout; v1/v2 npz archives still
-  load), so the expensive parallel build is paid once per scene;
+  (format v5: an mmap-friendly raw layout holding the matrix in the
+  build's dtype), so the expensive parallel build is paid once per scene;
 * :mod:`repro.serve.publish` — write built indexes as snapshot files in
   a private tmpfs directory that worker processes map read-only, one
   page-cache copy per matrix (the memory model behind

@@ -6,12 +6,19 @@ the build output the natural unit of persistence.  A snapshot is a single
 ``.rsp`` file capturing everything the query side needs:
 
 ``header``       JSON: format name + version, repro version, engine,
-                 element counts, simulated build cost, matrix checksum,
-                 and (when present) the pipeline's stage provenance
+                 element counts, simulated build cost, matrix dtype and
+                 checksum, the query verbs the artifact supports, and
+                 (when present) the pipeline's stage provenance
 ``points``       ``(n, 2)`` int64 — the vertex order of the matrix rows
                  (float64 when a non-integer extra point is indexed; the
-                 TOC/npz member records the dtype either way)
-``matrix``       ``(n, n)`` float64 — all-pairs lengths (§6.3 output)
+                 TOC records the dtype either way)
+``matrix``       ``(n, n)`` — all-pairs lengths (§6.3 output) in the
+                 build's matrix dtype
+                 (:func:`repro.core.allpairs.matrix_dtype`): float32 when
+                 every coordinate is an integer and the scene's distance
+                 bound ``D`` has ``3·D < 2²⁴``, float64 otherwise.  The
+                 header's ``matrix_dtype`` names it; a load keeps it, and
+                 the checksum is over the stored bytes
 ``rects``        ``(m, 4)`` int64 — obstacles: plain rects, polygon
                  decomposition tiles, pocket rects
 ``container``    ``(k, 2)`` int64 — container polygon loop (``k = 0``
@@ -20,40 +27,29 @@ the build output the natural unit of persistence.  A snapshot is a single
                  NE tracing forests (absent when not exported; polygon
                  scenes never export them — they use the corner-graph
                  query fallback, which needs nothing beyond the matrix)
-``poly_offsets`` ``(P + 1,)`` int64 — *v2+*: prefix offsets into
+``poly_offsets`` ``(P + 1,)`` int64 — prefix offsets into
                  ``poly_vertices`` delimiting each original polygon
                  obstacle's vertex loop
-``poly_vertices`` ``(K, 2)`` int64 — *v2+*: concatenated polygon
-                 loops (seams are recomputed from the loops on load —
-                 the decomposition is deterministic)
-``link_matrix``  ``(n, n)`` int32 — *v4+, optional* (``save(...,
+``poly_vertices`` ``(K, 2)`` int64 — concatenated polygon loops (seams
+                 are recomputed from the loops on load — the
+                 decomposition is deterministic)
+``link_matrix``  ``(n, n)`` int32 — *optional* (``save(...,
                  include_links=True)``): all-pairs min-link counts among
                  the registered points, ``-1`` marking disconnected
                  pairs; loaded snapshots use it as the fast path for
                  ``minlink`` queries between registered points
 
-*v4* also added a ``verbs`` header key naming the query verbs the
-artifact supports.  Older artifacts (v1–v3) still load, but their
-indices advertise ``("length", "path")`` only — the link-query family
-was specified after v3 froze, so a pre-v4 artifact makes no promise
-about it and the facade's capability gate turns ``minlink``/``pareto``
-into a one-line :class:`~repro.errors.QueryError` instead of an answer
-that silently bypassed the artifact's contract.  Re-snapshot the scene
-to upgrade.
-
-Two container layouts exist:
-
-* **formats v3/v4 (current, "raw")** — a flat binary file: an 8-byte magic,
-  a little-endian ``uint64`` header length, the JSON header (which
-  carries a table of contents of dtype/shape/offset per array), then the
-  raw C-order array payloads at 64-byte-aligned offsets.  The layout is
-  mmap-friendly: :func:`load` maps the arrays read-only straight out of
-  the page cache (no decompression, no second copy) — which is also how
-  cluster workers share one copy of each matrix
-  (:mod:`repro.serve.publish`).
-* **formats v1/v2 ("npz")** — a NumPy ``.npz`` archive with the same
-  members.  Still fully readable (the copy path); still writable via
-  ``save(..., layout="npz")`` for compatibility fixtures.
+The file is format **v5**, the only format read or written: an 8-byte
+magic, a little-endian ``uint64`` header length, the JSON header (which
+carries a table of contents of dtype/shape/offset per array), then the
+raw C-order array payloads at 64-byte-aligned offsets.  :func:`load`
+maps the arrays read-only straight out of the page cache (no second
+copy, no widening of a float32 matrix) — which is also how cluster
+workers share one copy of each matrix (:mod:`repro.serve.publish`).
+Older artifacts (the v1/v2 npz archives and the v3/v4 float64 raw
+files) raise a one-line :class:`~repro.errors.SnapshotError` asking for
+a re-snapshot; v5 matrix bytes differ from theirs wherever the build's
+dtype is float32.
 
 Loading never re-runs an engine: the matrix is mapped back into a
 :class:`DistanceIndex`, the §6.4 forests (when present) are handed to
@@ -70,8 +66,6 @@ import os
 import pathlib
 import struct
 import tempfile
-import zipfile
-import zlib
 from typing import BinaryIO, Optional, Union
 
 import numpy as np
@@ -87,24 +81,21 @@ from repro.pram.machine import PRAM
 PathLike = Union[str, pathlib.Path]
 
 #: snapshot format identity; bump ``SNAPSHOT_VERSION`` on layout changes
+#: (the one version this build reads and writes)
 SNAPSHOT_FORMAT = "repro-snapshot"
-SNAPSHOT_VERSION = 4
-#: every format version this build can read back
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
-#: verbs a pre-v4 artifact is assumed to support (the link family was
-#: introduced with v4; see the module docstring)
-LEGACY_VERBS = ("length", "path")
-#: the version written by ``save(..., layout="npz")`` (the legacy container)
-NPZ_VERSION = 2
+SNAPSHOT_VERSION = 5
 
 #: conventional file extension (the CLI sniffs content, not the name)
 SNAPSHOT_SUFFIX = ".rsp"
 
-#: first 8 bytes of a raw-layout (v3) artifact; deliberately not ``PK``
-#: (zip) and not ``\x93NUMPY`` (bare .npy), and unprintable enough that a
-#: text file can never collide
+#: first 8 bytes of an artifact; deliberately not ``PK`` (zip) and not
+#: ``\x93NUMPY`` (bare .npy), and unprintable enough that a text file can
+#: never collide
 RAW_MAGIC = b"\x93RSP\r\n\x1a\n"
-#: raw-layout arrays start at multiples of this (mmap/SIMD friendly)
+#: first bytes of a v1/v2 npz (zip) artifact, recognised to ask for a
+#: re-snapshot instead of calling the file garbage
+_ZIP_MAGIC = b"PK"
+#: arrays start at multiples of this (mmap/SIMD friendly)
 RAW_ALIGN = 64
 #: sanity bound on the embedded JSON header
 _MAX_HEADER = 64 << 20
@@ -123,7 +114,7 @@ def _matrix_digest(matrix: np.ndarray) -> str:
 def _export_arrays(
     idx: ShortestPathIndex, include_query: bool, include_links: bool = False
 ) -> tuple[dict, bool]:
-    """All snapshot array members of ``idx`` (shared by both layouts)."""
+    """All snapshot array members of ``idx``."""
     arrays = idx.index.export_arrays()
     arrays["rects"] = np.array(
         [[r.xlo, r.ylo, r.xhi, r.yhi] for r in idx.rects], dtype=np.int64
@@ -170,16 +161,16 @@ def _base_header(idx: ShortestPathIndex, include_query: bool, matrix) -> dict:
         "has_query_structure": include_query,
         "build_time": idx.pram.time,
         "build_work": idx.pram.work,
+        "matrix_dtype": matrix.dtype.name,
         "matrix_sha256": _matrix_digest(matrix),
-        # v4+: the query verbs this artifact supports; readers gate the
-        # facade's capabilities on it (absent on pre-v4 artifacts, which
-        # therefore narrow to LEGACY_VERBS on load)
-        "verbs": list(getattr(idx, "capabilities", LEGACY_VERBS)),
+        # the query verbs this artifact supports; readers gate the
+        # facade's capabilities on it
+        "verbs": list(idx.capabilities),
     }
     # stage provenance from repro.pipeline (engine + per-stage wall/PRAM
     # timings + cache hits): carried verbatim so `repro bench-info SNAP`
-    # can report how the artifact was built.  Pre-pipeline snapshots
-    # simply lack the key — old readers ignore it, old artifacts load.
+    # can report how the artifact was built.  An index built without the
+    # pipeline has none, and its snapshot simply lacks the key.
     provenance = getattr(idx, "provenance", None)
     if provenance is not None:
         header["provenance"] = provenance
@@ -190,7 +181,6 @@ def save(
     idx: ShortestPathIndex,
     path: PathLike,
     include_query: bool = True,
-    layout: str = "raw",
     include_links: bool = False,
 ) -> pathlib.Path:
     """Serialize ``idx`` to ``path``; returns the path written.
@@ -203,37 +193,20 @@ def save(
     ``include_links=True`` additionally precomputes and embeds the
     all-pairs min-link matrix (one DP run per registered point now, a
     lookup per ``minlink`` query forever after).  Link *queries* do not
-    require it — any v4 artifact answers them through the lazy link
-    index — it only trades build time for query latency.
-
-    ``layout="raw"`` (default) writes the mmap-friendly format-v4 file;
-    ``layout="npz"`` writes the legacy format-v2 ``.npz`` archive (smaller
-    on disk, but loads through a decompress-and-copy path, so every
-    process that loads it holds a private copy).
+    require it — any artifact answers them through the lazy link index —
+    it only trades build time for query latency.
     """
     path = pathlib.Path(path)
-    if layout not in ("raw", "npz"):
-        raise ValueError(f"unknown snapshot layout {layout!r} (want raw or npz)")
     arrays, include_query = _export_arrays(idx, include_query, include_links)
     header = _base_header(idx, include_query, arrays["matrix"])
-    if layout == "npz":
-        header["version"] = NPZ_VERSION
-        arrays["header"] = np.frombuffer(
-            json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        )
-    else:
-        header["version"] = SNAPSHOT_VERSION
-        header["layout"] = "raw"
+    header["version"] = SNAPSHOT_VERSION
     # atomic publish: a crash mid-write (or a concurrent saver of the
     # same path) must never leave a truncated artifact where a
     # SceneStore will try to load it — hence a unique temp sibling
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            if layout == "raw":
-                _write_raw(fh, header, arrays)
-            else:
-                np.savez_compressed(fh, **arrays)
+            _write_raw(fh, header, arrays)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -245,7 +218,7 @@ def save(
 
 
 def _write_raw(fh: BinaryIO, header: dict, arrays: dict) -> None:
-    """Write the raw (v3) container to ``fh``: magic + header length +
+    """Write the artifact to ``fh``: magic + header length +
     JSON + aligned C-order payloads.  TOC offsets are relative to the
     payload base (which is itself ``_align(16 + header length)``), so the
     header's own length never feeds back into the offsets it describes.
@@ -277,11 +250,8 @@ def _write_raw(fh: BinaryIO, header: dict, arrays: dict) -> None:
 
 def read_header(path: PathLike) -> dict:
     """The snapshot's JSON header alone (no array payloads are decoded)."""
-    if _is_raw(path):
-        header, _ = _read_raw_header(path)
-        return header
-    with _open_archive(path) as npz:
-        return _parse_header(path, npz)
+    header, _ = _read_raw_header(path)
+    return header
 
 
 def is_snapshot(path: PathLike) -> bool:
@@ -318,16 +288,14 @@ def quarantine(path: PathLike) -> Optional[pathlib.Path]:
     return None  # pragma: no cover - a thousand corpses of one scene
 
 
-def load(path: PathLike, mmap: bool = True) -> ShortestPathIndex:
+def load(path: PathLike) -> ShortestPathIndex:
     """Reconstruct a fully queryable :class:`ShortestPathIndex` from a
     snapshot; raises :class:`SnapshotError` on any malformed artifact.
-
-    Raw (v3) artifacts map their arrays read-only straight from the file
-    (``mmap=False`` forces an in-memory copy instead); npz (v1/v2)
-    artifacts always load through the decompress-and-copy path.
+    The arrays map read-only straight from the file, the matrix in its
+    stored dtype.
     """
-    header, arrays = load_arrays(path, mmap=mmap)
-    digest = _matrix_digest(np.asarray(arrays["matrix"], dtype=float))
+    header, arrays = load_arrays(path)
+    digest = _matrix_digest(arrays["matrix"])
     if digest != header.get("matrix_sha256"):
         raise SnapshotError(
             f"{path}: matrix checksum mismatch (corrupt or tampered artifact)"
@@ -337,36 +305,27 @@ def load(path: PathLike, mmap: bool = True) -> ShortestPathIndex:
     return idx
 
 
-def load_arrays(path: PathLike, mmap: bool = True) -> tuple[dict, dict]:
-    """``(header, arrays)`` of any supported snapshot, layout-agnostic.
-
-    Missing optional members are normalized: ``qs_parents`` maps to
-    ``None``, pre-polygon (v1) artifacts get empty polygon members.
+def load_arrays(path: PathLike) -> tuple[dict, dict]:
+    """``(header, arrays)`` of a snapshot, each array a read-only file
+    mapping.  The optional members ``qs_parents`` and ``link_matrix`` map
+    to ``None`` when absent.
     """
-    if _is_raw(path):
-        header, base = _read_raw_header(path)
-        arrays = _read_raw_arrays(path, header, base, mmap=mmap)
-    else:
-        with _open_archive(path) as npz:
-            header = _parse_header(path, npz)
-            try:
-                arrays = {name: npz[name] for name in npz.files if name != "header"}
-            except (
-                KeyError,
-                ValueError,
-                zipfile.BadZipFile,
-                OSError,
-                zlib.error,
-            ) as exc:
-                raise SnapshotError(f"{path}: missing or corrupt array member: {exc}")
-    for required in ("points", "matrix", "rects", "container"):
+    header, base = _read_raw_header(path)
+    arrays = _read_raw_arrays(path, header, base)
+    for required in ("points", "matrix", "rects", "container",
+                     "poly_offsets", "poly_vertices"):
         if required not in arrays:
             raise SnapshotError(f"{path}: snapshot has no {required!r} member")
+    dtype = arrays["matrix"].dtype
+    if dtype.name != header.get("matrix_dtype") or dtype.name not in (
+        "float32", "float64"
+    ):
+        raise SnapshotError(
+            f"{path}: matrix stored as {dtype.name}, header says "
+            f"{header.get('matrix_dtype')!r}"
+        )
     arrays.setdefault("qs_parents", None)
-    arrays.setdefault("link_matrix", None)  # v4 optional member
-    if "poly_offsets" not in arrays:  # format v1: pre-polygon artifact
-        arrays["poly_offsets"] = np.zeros(1, dtype=np.int64)
-        arrays["poly_vertices"] = np.empty((0, 2), dtype=np.int64)
+    arrays.setdefault("link_matrix", None)
     return header, arrays
 
 
@@ -421,37 +380,28 @@ def reconstruct(header: dict, arrays: dict, label: str = "<arrays>") -> Shortest
         polygons=polygons,
         seams=seams,
     )
-    # round-trip the build provenance (None for pre-pipeline artifacts)
+    # round-trip the build provenance (None for an index built by hand)
     idx.provenance = header.get("provenance")
     idx._link_matrix = link_matrix
-    # capability gate: a header that names its verbs is believed; one
-    # that predates the "verbs" key is a pre-v4 artifact and narrows to
-    # the legacy verb set
-    verbs = header.get("verbs")
-    if verbs is not None:
-        idx.capabilities = tuple(str(v) for v in verbs)
-    else:
-        idx.capabilities = LEGACY_VERBS
-        idx.capability_note = (
-            f"snapshot format v{header.get('version')} predates link queries; "
-            f"re-snapshot the scene to enable them"
-        )
+    # capability gate: the header names the verbs the artifact supports
+    idx.capabilities = tuple(str(v) for v in header.get("verbs", ()))
     return idx
 
 
-# -- raw (v3) container ------------------------------------------------
-def _is_raw(path: PathLike) -> bool:
+# -- the container -----------------------------------------------------
+def _read_raw_header(path: PathLike) -> tuple[dict, int]:
+    """``(header, payload_base)`` of an artifact."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read(len(RAW_MAGIC)) == RAW_MAGIC
+        fh = open(path, "rb")
     except IsADirectoryError:
         raise SnapshotError(f"{path}: not a snapshot archive (directory)")
-
-
-def _read_raw_header(path: PathLike) -> tuple[dict, int]:
-    """``(header, payload_base)`` of a raw artifact."""
-    with open(path, "rb") as fh:
+    with fh:
         head = fh.read(16)
+        if head[:2] == _ZIP_MAGIC:
+            raise SnapshotError(
+                f"{path}: npz snapshot (format v1/v2) is no longer read; "
+                f"re-snapshot the scene with this version"
+            )
         if len(head) < 16 or head[:8] != RAW_MAGIC:
             raise SnapshotError(f"{path}: not a snapshot archive")
         (hlen,) = struct.unpack("<Q", head[8:16])
@@ -465,14 +415,12 @@ def _read_raw_header(path: PathLike) -> tuple[dict, int]:
     except (ValueError, UnicodeDecodeError) as exc:
         raise SnapshotError(f"{path}: unreadable snapshot header: {exc}")
     _validate_header(path, header)
-    if header.get("layout") != "raw" or not isinstance(header.get("toc"), dict):
-        raise SnapshotError(f"{path}: raw container with a non-raw header")
+    if not isinstance(header.get("toc"), dict):
+        raise SnapshotError(f"{path}: snapshot header has no table of contents")
     return header, _align(16 + hlen)
 
 
-def _read_raw_arrays(
-    path: PathLike, header: dict, base: int, mmap: bool = True
-) -> dict:
+def _read_raw_arrays(path: PathLike, header: dict, base: int) -> dict:
     size = os.path.getsize(path)
     out: dict[str, np.ndarray] = {}
     for name, ent in header["toc"].items():
@@ -499,53 +447,19 @@ def _read_raw_arrays(
             )
         if nbytes == 0:
             out[name] = np.empty(shape, dtype=dtype)
-        elif mmap:
-            out[name] = np.memmap(path, mode="r", dtype=dtype, shape=shape, offset=offset)
         else:
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                buf = fh.read(nbytes)
-            if len(buf) < nbytes:
-                raise SnapshotError(f"{path}: truncated artifact member {name!r}")
-            arr = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-            out[name] = arr
+            out[name] = np.memmap(path, mode="r", dtype=dtype, shape=shape, offset=offset)
     return out
-
-
-# -- npz (v1/v2) container ---------------------------------------------
-def _open_archive(path: PathLike):
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise SnapshotError(f"{path}: not a snapshot archive: {exc}")
-    if not hasattr(npz, "files"):  # a bare .npy loads as a plain array
-        raise SnapshotError(f"{path}: not a snapshot archive (single array)")
-    return npz
-
-
-def _parse_header(path: PathLike, npz) -> dict:
-    if "header" not in npz.files:
-        raise SnapshotError(f"{path}: no snapshot header member")
-    try:
-        header = json.loads(bytes(npz["header"].tobytes()).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError, zipfile.BadZipFile, OSError, zlib.error) as exc:
-        raise SnapshotError(f"{path}: unreadable snapshot header: {exc}")
-    _validate_header(path, header)
-    if header.get("version", 0) >= 3:
-        raise SnapshotError(
-            f"{path}: version {header['version']} snapshots use the raw "
-            f"layout, but this is an npz archive"
-        )
-    return header
 
 
 def _validate_header(path: PathLike, header) -> None:
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError(f"{path}: not a {SNAPSHOT_FORMAT} artifact")
-    if header.get("version") not in SUPPORTED_VERSIONS:
+    version = header.get("version")
+    if version != SNAPSHOT_VERSION:
+        older = isinstance(version, int) and version < SNAPSHOT_VERSION
         raise SnapshotError(
-            f"{path}: snapshot format version {header.get('version')!r}; "
-            f"this build reads versions {SUPPORTED_VERSIONS}"
+            f"{path}: snapshot format version {version!r}; this build reads "
+            f"version {SNAPSHOT_VERSION} only"
+            + ("; re-snapshot the scene with this version" if older else "")
         )

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import allpairs
 from repro.core.allpairs import ParallelEngine
+from repro.errors import GeometryError
 from repro.geometry.decompose import seams_block_v_segment
 from repro.geometry.primitives import Rect, dist
 from repro.geometry.rayshoot import RayShooter
@@ -333,6 +334,21 @@ def test_line_ranges_match_brute_force():
             assert chain.x_range_at_y(q) == _ref_range(chain, q, False)
             assert chain.crossings_with_vline(q) == _ref_crossings(chain, (q, 0), 0)
             assert chain.crossings_with_hline(q) == _ref_crossings(chain, (0, q), 1)
+
+
+def test_sides_of_matches_side_of():
+    rng = np.random.default_rng(6)
+    pts = [(x / 2, y / 2) for x in range(-24, 44, 3) for y in range(-30, 44, 3)]
+    checked = 0
+    for _ in range(400):
+        chain = _random_chain(rng)
+        if not chain.unbounded:
+            with pytest.raises(GeometryError):
+                chain.sides_of(pts)
+            continue
+        assert chain.sides_of(pts).tolist() == [chain.side_of(p) for p in pts]
+        checked += 1
+    assert checked > 100
 
 
 # -- naive (min,+) ---------------------------------------------------------

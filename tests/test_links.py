@@ -3,7 +3,7 @@
 The exhaustive differential coverage lives in ``test_fuzz_links.py``
 (210 seeded scenes against the grid oracle); these are the known-answer
 and plumbing tests: hand-checkable frontiers, batched-vs-single
-agreement, snapshot v4 round-trips, pre-v4 capability gating, the
+agreement, snapshot round-trips, header-verb capability gating, the
 QueryServer verbs, and the CLI surfaces.
 """
 
@@ -18,7 +18,7 @@ from repro.errors import QueryError, SnapshotError
 from repro.geometry.primitives import Rect
 from repro.serve.server import QueryServer, Request
 from repro.serve.snapshot import (
-    LEGACY_VERBS,
+    SNAPSHOT_VERSION,
     _write_raw,
     load,
     load_arrays,
@@ -103,7 +103,7 @@ class TestSnapshotV4:
     def test_roundtrip_with_link_matrix(self, blocks_idx, tmp_path):
         snap = save(blocks_idx, tmp_path / "b.rsp", include_links=True)
         header = read_header(snap)
-        assert header["version"] == 4
+        assert header["version"] == SNAPSHOT_VERSION
         assert set(header["verbs"]) == {"length", "path", "minlink", "pareto"}
         idx = load(snap)
         assert idx._link_matrix is not None
@@ -120,19 +120,17 @@ class TestSnapshotV4:
         # v4 artifacts answer the whole family either way (lazy DP)
         assert idx.min_links(S, T) == 3
 
-    def test_pre_v4_artifact_gates_link_verbs(self, blocks_idx, tmp_path):
+    def test_header_verbs_gate_link_queries(self, blocks_idx, tmp_path):
         snap = save(blocks_idx, tmp_path / "b.rsp")
-        header, arrays = load_arrays(snap, mmap=False)
-        header.pop("verbs")
+        header, arrays = load_arrays(snap)
+        header["verbs"] = ["length", "path"]
         header.pop("toc")
-        header["version"] = 3
-        legacy = tmp_path / "legacy.rsp"
-        with open(legacy, "wb") as fh:
+        narrowed = tmp_path / "narrowed.rsp"
+        with open(narrowed, "wb") as fh:
             _write_raw(fh, header, {k: v for k, v in arrays.items() if v is not None})
-        idx = load(legacy)
-        assert idx.capabilities == LEGACY_VERBS
-        assert "predates link queries" in idx.capability_note
-        assert idx.length(S, T) == 82.0  # legacy verbs still answer
+        idx = load(narrowed)
+        assert idx.capabilities == ("length", "path")
+        assert idx.length(S, T) == 82.0  # the named verbs still answer
         with pytest.raises(QueryError, match="minlink"):
             idx.min_links(S, T)
         with pytest.raises(QueryError, match="pareto"):
@@ -140,7 +138,7 @@ class TestSnapshotV4:
 
     def test_corrupt_link_matrix_shape_rejected(self, blocks_idx, tmp_path):
         snap = save(blocks_idx, tmp_path / "b.rsp", include_links=True)
-        header, arrays = load_arrays(snap, mmap=False)
+        header, arrays = load_arrays(snap)
         arrays = {k: v for k, v in arrays.items() if v is not None}
         arrays["link_matrix"] = np.zeros((2, 2), dtype=np.int32)
         with pytest.raises(SnapshotError, match="link matrix shape"):
@@ -202,14 +200,14 @@ class TestCLI:
         scene = self._scene(tmp_path)
         snap = tmp_path / "scene.rsp"
         assert main(["snapshot", str(scene), str(snap)]) == 0
-        header, arrays = load_arrays(snap, mmap=False)
+        header, arrays = load_arrays(snap)
         header.pop("verbs")
         header.pop("toc")
-        header["version"] = 3
+        header["version"] = 4
         legacy = tmp_path / "legacy.rsp"
         with open(legacy, "wb") as fh:
             _write_raw(fh, header, {k: v for k, v in arrays.items() if v is not None})
-        # one-line capability error, not a traceback
+        # one-line re-snapshot error, not a traceback
         with pytest.raises(SystemExit) as exc:
             main(["query", str(legacy), "0,20", "70,22", "--minlink"])
-        assert "predates link queries" in str(exc.value)
+        assert "re-snapshot" in str(exc.value) and "\n" not in str(exc.value)

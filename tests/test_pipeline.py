@@ -313,13 +313,12 @@ class TestStageCache:
         with pytest.raises(GeometryError, match="integer coordinates"):
             ShortestPathIndex.build(RECTS, extra_points=[(2.5, 1)], engine="grid")
 
-    @pytest.mark.parametrize("layout", ["raw", "npz"])
-    def test_non_integer_extras_survive_snapshots(self, tmp_path, layout):
+    def test_non_integer_extras_survive_snapshots(self, tmp_path):
         from repro.serve.snapshot import load, save
 
         idx = ShortestPathIndex.build(RECTS, extra_points=[(2.5, 1)])
         snap = tmp_path / "f.rsp"
-        save(idx, snap, layout=layout)
+        save(idx, snap)
         loaded = load(snap)
         assert loaded.index.has_point((2.5, 1))
         assert not loaded.index.has_point((2.5, 2))
@@ -493,13 +492,12 @@ class TestProvenance:
         assert solve["pram_time"] == idx.pram.time
         assert solve["pram_work"] == idx.pram.work
 
-    @pytest.mark.parametrize("layout", ["raw", "npz"])
-    def test_provenance_round_trips_through_snapshot(self, tmp_path, layout):
+    def test_provenance_round_trips_through_snapshot(self, tmp_path):
         from repro.serve.snapshot import load, read_header, save
 
         idx = ShortestPathIndex.build(RECTS, engine="sequential")
         snap = tmp_path / "s.rsp"
-        save(idx, snap, layout=layout)
+        save(idx, snap)
         header = read_header(snap)
         assert header["provenance"]["engine"] == "sequential"
         loaded = load(snap)

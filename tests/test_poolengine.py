@@ -394,6 +394,7 @@ def test_worker_main_inline_roundtrip():
         "payload": {
             "ctx": ctx, "rect_idx": list(range(len(rects))), "pts": pts,
             "depth": 0, "tags": {}, "next_chain_id": 0,
+            "dtype": np.dtype(np.float32),
         },
     })
     tasks.put({

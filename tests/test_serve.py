@@ -1,13 +1,11 @@
 """Tests for the serving subsystem: snapshots, the scene store, the
 batching query server, and their CLI entry points."""
 
-import io
 import json
 import os
 import sys
 import threading
 import time
-import zipfile
 
 import numpy as np
 import pytest
@@ -30,7 +28,6 @@ from repro.serve import (
 )
 from repro.serve.publish import SnapshotPublisher
 from repro.serve.snapshot import (
-    NPZ_VERSION,
     RAW_MAGIC,
     SNAPSHOT_VERSION,
     _write_raw,
@@ -46,20 +43,24 @@ from repro.workloads.generators import (
 from repro.workloads.requests import random_request_stream, scene_endpoints
 
 
-def _rewrite_member(path, name, value: bytes):
-    """Rewrite one member of an npz archive in place (corruption helper)."""
-    with zipfile.ZipFile(path) as zf:
-        members = {info.filename: zf.read(info.filename) for info in zf.infolist()}
-    members[name] = value
-    with zipfile.ZipFile(path, "w") as zf:
-        for fname, data in members.items():
-            zf.writestr(fname, data)
+def _rewrite_header(path, **changes):
+    """Rewrite a snapshot with some header keys changed (corruption helper)."""
+    header, arrays = load_arrays(path)
+    header = dict(header, **changes)
+    header.pop("toc")
+    # copies: the file is rewritten under its own mappings
+    arrays = {k: np.array(v) for k, v in arrays.items() if v is not None}
+    with open(path, "wb") as fh:
+        _write_raw(fh, header, arrays)
 
 
-def _npz_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, arr, allow_pickle=False)
-    return buf.getvalue()
+def _legacy_npz(path, idx, version: int) -> None:
+    """Hand-write a v1/v2-style npz artifact (the retired container)."""
+    arrays = idx.index.export_arrays()
+    header = {"format": "repro-snapshot", "version": version}
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
 
 
 class TestSnapshotRoundTrip:
@@ -145,8 +146,8 @@ class TestSnapshotRoundTrip:
 
 
 class TestSnapshotFormatV2:
-    """The npz layout (format v2) still writes and loads via the copy
-    path; polygon members and v1 artifacts are locked here."""
+    """Polygon members round-trip; the retired npz artifacts (formats
+    v1/v2) are refused with a one-line request to re-snapshot."""
 
     def _polygon_scene(self, seed=0):
         from repro.workloads.generators import random_polygon_scene
@@ -157,7 +158,7 @@ class TestSnapshotFormatV2:
     def test_polygon_scene_round_trip_byte_identical(self, tmp_path, engine):
         obstacles = self._polygon_scene(3)
         idx = ShortestPathIndex.build(obstacles, engine=engine)
-        loaded = load(save(idx, tmp_path / "p.rsp", layout="npz"))
+        loaded = load(save(idx, tmp_path / "p.rsp"))
         # the distance matrix survives byte-identically
         assert idx.index.matrix.tobytes() == loaded.index.matrix.tobytes()
         assert loaded.rects == idx.rects
@@ -176,98 +177,44 @@ class TestSnapshotFormatV2:
     def test_polygon_header_and_members(self, tmp_path):
         obstacles = self._polygon_scene(4)
         idx = ShortestPathIndex.build(obstacles)
-        path = save(idx, tmp_path / "p2.rsp", layout="npz")
+        path = save(idx, tmp_path / "p2.rsp")
         header = read_header(path)
-        assert header["version"] == NPZ_VERSION == 2
+        assert header["version"] == SNAPSHOT_VERSION
         assert header["n_polygons"] == 2
         # polygon scenes never persist §6.4 forests (corner-graph fallback)
         assert header["has_query_structure"] is False
-        with zipfile.ZipFile(path) as zf:
-            names = {i.filename for i in zf.infolist()}
-        assert {"poly_offsets.npy", "poly_vertices.npy"} <= names
-        assert "qs_parents.npy" not in names
+        assert {"poly_offsets", "poly_vertices"} <= set(header["toc"])
+        assert "qs_parents" not in header["toc"]
 
     def test_rect_scene_still_exports_query_structure(self, tmp_path):
         idx = ShortestPathIndex.build(random_disjoint_rects(6, seed=13))
-        path = save(idx, tmp_path / "r.rsp", layout="npz")
+        path = save(idx, tmp_path / "r.rsp")
         header = read_header(path)
-        assert header["version"] == 2
+        assert header["version"] == SNAPSHOT_VERSION
         assert header["n_polygons"] == 0
         assert header["has_query_structure"] is True
 
-    def test_npz_and_raw_layouts_load_identically(self, tmp_path):
-        obstacles = self._polygon_scene(7)
-        idx = ShortestPathIndex.build(obstacles)
-        from_npz = load(save(idx, tmp_path / "a.rsp", layout="npz"))
-        from_raw = load(save(idx, tmp_path / "b.rsp", layout="raw"))
-        assert from_npz.index.matrix.tobytes() == from_raw.index.matrix.tobytes()
-        assert from_npz.rects == from_raw.rects
-        assert from_npz.seams == from_raw.seams
-        assert [p.loop for p in from_npz.polygons] == [
-            p.loop for p in from_raw.polygons
-        ]
-
-    def test_v1_artifact_still_loads(self, tmp_path):
-        """Hand-write a version-1 archive (the pre-polygon layout) and load."""
-        import hashlib
-
-        rects = random_disjoint_rects(7, seed=5)
-        idx = ShortestPathIndex.build(rects)
-        arrays = idx.index.export_arrays()
-        arrays["rects"] = np.array(
-            [[r.xlo, r.ylo, r.xhi, r.yhi] for r in idx.rects], dtype=np.int64
-        )
-        arrays["container"] = np.empty((0, 2), dtype=np.int64)
-        arrays["qs_parents"] = idx.query.export_world_parents()
-        digest = hashlib.sha256(
-            np.ascontiguousarray(arrays["matrix"]).tobytes()
-        ).hexdigest()
-        header = {
-            "format": "repro-snapshot",
-            "version": 1,
-            "repro_version": "1.0.0",
-            "engine": "parallel",
-            "n_points": len(idx.index),
-            "n_rects": len(idx.rects),
-            "has_container": False,
-            "has_query_structure": True,
-            "build_time": idx.pram.time,
-            "build_work": idx.pram.work,
-            "matrix_sha256": digest,
-        }
-        arrays["header"] = np.frombuffer(
-            json.dumps(header, sort_keys=True).encode(), dtype=np.uint8
-        )
-        path = tmp_path / "v1.rsp"
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        loaded = load(path)
-        assert loaded.snapshot_meta["version"] == 1
-        assert loaded.polygons == [] and loaded.seams == []
-        vs = idx.vertices()
-        assert loaded.length(vs[0], vs[-1]) == idx.length(vs[0], vs[-1])
-        # §6.4 forests from the v1 artifact are honoured
-        assert loaded._query_parents is not None
+    def test_v1_artifact_asks_for_a_resnapshot(self, tmp_path):
+        idx = ShortestPathIndex.build(random_disjoint_rects(7, seed=5))
+        path = tmp_path / "old.rsp"
+        _legacy_npz(path, idx, 1)
+        assert not is_snapshot(path)
+        err = str(pytest.raises(SnapshotError, load, path).value)
+        assert "re-snapshot" in err and "\n" not in err
 
     def test_unknown_future_version_rejected(self, tmp_path):
         idx = ShortestPathIndex.build(random_disjoint_rects(5, seed=1))
-        path = save(idx, tmp_path / "f.rsp", layout="npz")
-        header = read_header(path)
-        header["version"] = 99
-        raw = json.dumps(header).encode()
-        _rewrite_member(path, "header.npy", _npz_bytes(np.frombuffer(raw, dtype=np.uint8)))
-        with pytest.raises(SnapshotError, match="version"):
-            load(path)
+        path = save(idx, tmp_path / "f.rsp")
+        _rewrite_header(path, version=99)
+        err = str(pytest.raises(SnapshotError, load, path).value)
+        assert "version" in err and "re-snapshot" not in err
 
     def test_npz_claiming_raw_version_rejected(self, tmp_path):
-        # a version-3 header inside an npz archive is a layout mismatch
+        # the npz container is never read, whatever version it claims
         idx = ShortestPathIndex.build(random_disjoint_rects(5, seed=2))
-        path = save(idx, tmp_path / "m.rsp", layout="npz")
-        header = read_header(path)
-        header["version"] = 3
-        raw = json.dumps(header).encode()
-        _rewrite_member(path, "header.npy", _npz_bytes(np.frombuffer(raw, dtype=np.uint8)))
-        with pytest.raises(SnapshotError, match="raw"):
+        path = tmp_path / "m.rsp"
+        _legacy_npz(path, idx, SNAPSHOT_VERSION)
+        with pytest.raises(SnapshotError, match="re-snapshot"):
             load(path)
 
     def test_store_and_server_accept_polygon_scenes(self, tmp_path):
@@ -285,12 +232,12 @@ class TestSnapshotFormatV2:
 
 
 class TestSnapshotRejection:
-    """Corruption of the npz (v1/v2) copy path surfaces as SnapshotError."""
+    """Corrupt or mismatched artifacts surface as SnapshotError."""
 
     @pytest.fixture()
     def snap(self, tmp_path):
         idx = ShortestPathIndex.build(random_disjoint_rects(6, seed=2))
-        return save(idx, tmp_path / "x.rsp", layout="npz")
+        return save(idx, tmp_path / "x.rsp")
 
     def test_garbage_file(self, tmp_path):
         bad = tmp_path / "junk.rsp"
@@ -305,57 +252,44 @@ class TestSnapshotRejection:
         with pytest.raises(SnapshotError):
             load(snap)
 
-    def test_version_mismatch(self, snap):
-        header = read_header(snap)
-        header["version"] = SNAPSHOT_VERSION + 1
-        raw = json.dumps(header).encode()
-        _rewrite_member(
-            snap, "header.npy", _npz_bytes(np.frombuffer(raw, dtype=np.uint8))
-        )
+    def test_version_mismatch(self, snap, tmp_path):
+        old = tmp_path / "old.rsp"
+        old.write_bytes(snap.read_bytes())
+        _rewrite_header(snap, version=SNAPSHOT_VERSION + 1)
         with pytest.raises(SnapshotError, match="version"):
             load(snap)
+        # the float64 v4 files before it ask for a re-snapshot
+        _rewrite_header(old, version=SNAPSHOT_VERSION - 1)
+        with pytest.raises(SnapshotError, match="re-snapshot"):
+            load(old)
 
     def test_wrong_format_name(self, snap):
-        header = read_header(snap)
-        header["format"] = "other-artifact"
-        raw = json.dumps(header).encode()
-        _rewrite_member(
-            snap, "header.npy", _npz_bytes(np.frombuffer(raw, dtype=np.uint8))
-        )
+        _rewrite_header(snap, format="other-artifact")
         assert not is_snapshot(snap)
         with pytest.raises(SnapshotError):
             load(snap)
 
     def test_tampered_matrix_fails_checksum(self, snap):
-        with np.load(snap) as npz:
-            matrix = npz["matrix"].copy()
+        header, arrays = load_arrays(snap)
+        matrix = np.array(arrays["matrix"])
         matrix[0, -1] += 1
-        _rewrite_member(snap, "matrix.npy", _npz_bytes(matrix))
+        header.pop("toc")
+        arrays = {k: np.array(v) for k, v in arrays.items() if v is not None}
+        with open(snap, "wb") as fh:
+            _write_raw(fh, header, dict(arrays, matrix=matrix))
         with pytest.raises(SnapshotError, match="checksum"):
+            load(snap)
+
+    def test_matrix_dtype_must_match_the_header(self, snap):
+        _rewrite_header(snap, matrix_dtype="float64")
+        with pytest.raises(SnapshotError, match="header says"):
             load(snap)
 
     def test_missing_header(self, tmp_path):
         bad = tmp_path / "noheader.rsp"
-        np.savez_compressed(bad.open("wb"), matrix=np.zeros((2, 2)))
+        bad.write_bytes(RAW_MAGIC + (0).to_bytes(8, "little"))
         with pytest.raises(SnapshotError, match="header"):
             load(bad)
-
-    def test_bit_rot_inside_compressed_member(self, snap):
-        # flip one byte of the matrix member's *compressed* stream: zlib
-        # fails mid-decompress, which must still surface as SnapshotError
-        with zipfile.ZipFile(snap) as zf:
-            zi = zf.getinfo("matrix.npy")
-            with snap.open("rb") as fh:
-                fh.seek(zi.header_offset)
-                hdr = fh.read(30)
-            name_len = int.from_bytes(hdr[26:28], "little")
-            extra_len = int.from_bytes(hdr[28:30], "little")
-            data_off = zi.header_offset + 30 + name_len + extra_len
-        raw = bytearray(snap.read_bytes())
-        raw[data_off + 12] ^= 0xFF
-        snap.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotError):
-            load(snap)
 
     def test_bare_npy_file(self, tmp_path):
         bad = tmp_path / "plain.rsp"
@@ -379,13 +313,14 @@ class TestSnapshotFormatV3:
         rects = random_disjoint_rects(8, seed=3)
         return rects, ShortestPathIndex.build(rects)
 
-    def test_default_save_is_raw_v4(self, tmp_path, built):
+    def test_default_save_is_raw_v5(self, tmp_path, built):
         _, idx = built
         path = save(idx, tmp_path / "r.rsp")
         assert path.read_bytes()[: len(RAW_MAGIC)] == RAW_MAGIC
         header = read_snapshot_header(path)
-        assert header["version"] == SNAPSHOT_VERSION == 4
-        assert header["layout"] == "raw"
+        assert header["version"] == SNAPSHOT_VERSION == 5
+        assert header["matrix_dtype"] == idx.index.matrix.dtype.name == "float32"
+        assert header["toc"]["matrix"]["dtype"] == "<f4"
         assert set(header["toc"]) >= {"points", "matrix", "rects", "container"}
         assert is_snapshot(path)
 
@@ -401,20 +336,12 @@ class TestSnapshotFormatV3:
         pairs = [(vs[i], vs[-1 - i]) for i in range(0, len(vs), 3)]
         assert idx.lengths(pairs).tobytes() == loaded.lengths(pairs).tobytes()
 
-    def test_load_without_mmap_matches(self, tmp_path, built):
-        _, idx = built
-        path = save(idx, tmp_path / "r.rsp")
-        a, b = load(path), load(path, mmap=False)
-        assert a.index.matrix.tobytes() == b.index.matrix.tobytes()
-        assert b.index.matrix.flags.owndata or b.index.matrix.base is not None
-
     def test_future_raw_version_rejected(self, tmp_path, built):
         _, idx = built
         arrays, include_query = _export_arrays(idx, True)
         header = {
             "format": "repro-snapshot",
             "version": SNAPSHOT_VERSION + 1,
-            "layout": "raw",
             "engine": "parallel",
             "matrix_sha256": "0" * 64,
         }
@@ -455,8 +382,7 @@ class TestSnapshotFormatV3:
         arrays, _ = _export_arrays(idx, True)
         header = {
             "format": "repro-snapshot",
-            "version": 3,
-            "layout": "raw",
+            "version": SNAPSHOT_VERSION,
             "engine": "parallel",
             "matrix_sha256": "0" * 64,
         }
@@ -543,7 +469,8 @@ class TestSnapshotFormatV3:
 
         from repro.serve.snapshot import RAW_ALIGN, _base_header, _export_arrays
 
-        idx = ShortestPathIndex.build(random_disjoint_rects(128, seed=5))
+        # 192 rects: the float32 matrix (768 points, 2.4 MB) stays past 1 MiB
+        idx = ShortestPathIndex.build(random_disjoint_rects(192, seed=5))
         save(idx, tmp_path / "warm.rsp")  # builds the lazy query structure
         tracemalloc.start()
         try:
@@ -560,7 +487,7 @@ class TestSnapshotFormatV3:
 
         arrays, include_query = _export_arrays(idx, True)
         header = dict(_base_header(idx, include_query, arrays["matrix"]),
-                      version=SNAPSHOT_VERSION, layout="raw")
+                      version=SNAPSHOT_VERSION)
         toc, rel = {}, 0
         for name in sorted(arrays):
             arr = np.ascontiguousarray(arrays[name])

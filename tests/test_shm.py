@@ -175,16 +175,23 @@ class TestPublishAttach:
 
     def test_publish_snapshot_raw_and_npz(self, tmp_path):
         """An operator's snapshot file is handed out as it is — no copy
-        in the publish directory, never removed — in either layout."""
+        in the publish directory, never removed.  A retired npz artifact
+        is handed out too, and its load asks for a re-snapshot."""
         idx = ShortestPathIndex.build(random_disjoint_rects(7, seed=7))
-        raw = save(idx, tmp_path / "r.rsp", layout="raw")
-        npz = save(idx, tmp_path / "n.rsp", layout="npz")
+        raw = save(idx, tmp_path / "r.rsp")
+        npz = tmp_path / "n.rsp"
+        header = json.dumps({"format": "repro-snapshot", "version": 2}).encode()
+        with open(npz, "wb") as fh:
+            np.savez_compressed(fh, header=np.frombuffer(header, dtype=np.uint8),
+                                **idx.index.export_arrays())
         pairs = _sample_pairs(idx)
         with SnapshotPublisher() as pub:
-            for name, path in (("raw", raw), ("npz", npz)):
-                assert pub.publish_file(name, path) == str(path)
-                att = load(pub.path(name))
-                assert idx.lengths(pairs).tobytes() == att.lengths(pairs).tobytes()
+            assert pub.publish_file("raw", raw) == str(raw)
+            att = load(pub.path("raw"))
+            assert idx.lengths(pairs).tobytes() == att.lengths(pairs).tobytes()
+            assert pub.publish_file("npz", npz) == str(npz)
+            with pytest.raises(ReproError, match="re-snapshot"):
+                load(pub.path("npz"))
             assert _files(pub) == []
             with pytest.raises(ClusterError, match="cannot publish"):
                 pub.publish_file("missing", tmp_path / "missing.rsp")
